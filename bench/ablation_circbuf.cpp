@@ -14,7 +14,7 @@ int main() {
   for (models::Task task :
        {models::Task::kMnist, models::Task::kHar, models::Task::kOkg}) {
     Rng rng(5 + static_cast<std::uint64_t>(task));
-    const auto qm = make_qmodel(task, /*compressed=*/true, rng);
+    const auto qm = models::make_deployed_qmodel(task, /*compressed=*/true, rng);
     std::size_t sum = qm.layers.front().in_size();
     for (const auto& l : qm.layers) sum += l.out_size();
     const std::size_t two = 2 * qm.max_activation_words();

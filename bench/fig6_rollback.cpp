@@ -43,8 +43,8 @@ int main() {
     flex::RunOptions opts;
     opts.flex_v_warn = power::warn_voltage_for(
         ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 2e-6, 3.0);
-    auto rt = make_runtime(fw);
-    const auto st = rt->infer(dev, cm, input, opts);
+    const auto policy = sim::make_policy(runtime_key(fw));
+    const auto st = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
     outputs[row] = st.output;
     t.add_row({framework_name(fw), ms(st.on_seconds), mj(st.energy_j),
                std::to_string(st.reboots), std::to_string(st.progress_commits),

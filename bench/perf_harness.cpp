@@ -78,7 +78,8 @@ DeviceRun run_device_workload(const quant::QuantModel& qm, const std::vector<q15
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  auto rt = flex::make_ace_runtime();
+  const auto policy = flex::make_ace_policy();
+  flex::IntermittentExecutor ex(*policy);
   const flex::RunOptions opts;
 
   DeviceRun r;
@@ -86,13 +87,13 @@ DeviceRun run_device_workload(const quant::QuantModel& qm, const std::vector<q15
   // totals are deterministic and identical across runs).
   const double c0 = dev.trace().total_cycles();
   const double e0 = dev.trace().total_energy();
-  auto st = rt->infer(dev, cm, qin, opts);
+  auto st = ex.run(dev, cm, qin, opts);
   r.output = std::move(st.output);
   r.cycles = dev.trace().total_cycles() - c0;
   r.energy = dev.trace().total_energy() - e0;
 
   const double t0 = now_ns();
-  for (int i = 0; i < reps; ++i) rt->infer(dev, cm, qin, opts);
+  for (int i = 0; i < reps; ++i) ex.run(dev, cm, qin, opts);
   r.wall_ns = (now_ns() - t0) / static_cast<double>(reps);
   return r;
 }
@@ -364,7 +365,7 @@ std::optional<Baseline> load_baseline(const std::string& path, bool per_line) {
     if (name) {
       b.entries.push_back(
           {*name, {scan_num(text, "modeled_cycles"), scan_num(text, "modeled_energy_j"),
-                   scan_num(text, "wall_ns_per_run_bulk")}});
+                   scan_num(text, "wall_ns_per_run_bulk"), std::nullopt}});
     }
   }
   return b;
@@ -530,11 +531,12 @@ int main(int argc, char** argv) {
   KernelResult e2e;
   {
     Rng rng(0xb0a710ad);
-    const auto qm = bench::make_qmodel(models::Task::kMnist, /*compressed=*/true, rng);
+    const auto qm =
+        models::make_deployed_qmodel(models::Task::kMnist, /*compressed=*/true, rng);
     const auto qin = quant::quantize_input(
         qm, bench::random_input_tensor(models::model_info(models::Task::kMnist).input_shape,
                                        rng));
-    const dev::DeviceConfig cfg = bench::device_for(/*compressed=*/true);
+    const dev::DeviceConfig cfg = models::deployment_device_config(/*compressed=*/true);
     const int reps = smoke ? 1 : 5;
     const DeviceRun scalar = run_device_workload(qm, qin, cfg, false, reps);
     const DeviceRun bulk = run_device_workload(qm, qin, cfg, true, reps);

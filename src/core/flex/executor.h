@@ -15,9 +15,8 @@
 // recovery), and finished()/stats() read the result. Between step() calls
 // nothing touches the device, so a run can be suspended indefinitely and
 // interleaved with other runs — the property the fleet harness
-// (sim/fleet.h) uses to step hundreds of independent devices round-robin.
-// infer() on the classic InferenceRuntime wrapper is just start() + a
-// drain loop, so the one-call API is unchanged and bit-exact.
+// (sim/fleet.h) uses to step many independent devices. run() is start()
+// plus a drain loop; it is the one way to execute a whole inference.
 #pragma once
 
 #include <memory>
@@ -138,7 +137,10 @@ class IntermittentExecutor {
   const RunStats& stats() const { return st_; }
   RunStats take_stats() { return std::move(st_); }
 
-  // Convenience: start() + drain. Exactly the classic infer().
+  // Runs one inference to completion: start() + drain. `input` is written
+  // into the first activation buffer cost-free; the device must already
+  // have its supply attached (or none, for bench power). Failures and
+  // reboots are handled internally; the outcome is in the returned stats.
   RunStats run(dev::Device& dev, const ace::CompiledModel& cm,
                std::span<const fx::q15_t> input, const RunOptions& opts = {});
 
@@ -169,8 +171,8 @@ class IntermittentExecutor {
   bool done_ = true;  // no run armed yet
 };
 
-// Policy factories — the five strategies as policies. make_*_runtime()
-// in runtime.h returns these wrapped via make_policy_runtime().
+// Policy factories — the checkpoint strategies. sim::make_policy(key) is
+// the string-keyed table over these.
 std::unique_ptr<RuntimePolicy> make_ace_policy();  // also BASE (dense model)
 std::unique_ptr<RuntimePolicy> make_sonic_policy();
 std::unique_ptr<RuntimePolicy> make_tails_policy();
@@ -188,8 +190,5 @@ struct TileSpec {
 };
 TileSpec parse_tile_spec(const std::string& key);  // throws on malformed args
 std::unique_ptr<RuntimePolicy> make_tile_policy(TileSpec spec = {});
-
-// Wraps a policy as the classic one-call InferenceRuntime.
-std::unique_ptr<InferenceRuntime> make_policy_runtime(std::unique_ptr<RuntimePolicy> policy);
 
 }  // namespace ehdnn::flex

@@ -348,10 +348,6 @@ class FlexPolicy : public RuntimePolicy {
 
 std::unique_ptr<RuntimePolicy> make_flex_policy() { return std::make_unique<FlexPolicy>(); }
 
-std::unique_ptr<InferenceRuntime> make_flex_runtime() {
-  return make_policy_runtime(make_flex_policy());
-}
-
 double worst_checkpoint_energy(const ace::CompiledModel& cm, const dev::CostModel& cost) {
   // Largest payload: BCM full state (accumulator row + both complex
   // buffers) plus the header, written with DMA word costs.

@@ -271,10 +271,6 @@ class SonicPolicy : public RuntimePolicy {
 
 std::unique_ptr<RuntimePolicy> make_sonic_policy() { return std::make_unique<SonicPolicy>(); }
 
-std::unique_ptr<InferenceRuntime> make_sonic_runtime() {
-  return make_policy_runtime(make_sonic_policy());
-}
-
 double sonic_worst_commit_energy(const ace::CompiledModel& cm, const dev::CostModel& cost) {
   // Scalar FRAM word traffic (SONIC's kernels are all CPU-addressed) and
   // the MPY32 MAC with its two address-advance ops, matching the per-MAC

@@ -183,8 +183,4 @@ class TailsPolicy : public RuntimePolicy {
 
 std::unique_ptr<RuntimePolicy> make_tails_policy() { return std::make_unique<TailsPolicy>(); }
 
-std::unique_ptr<InferenceRuntime> make_tails_runtime() {
-  return make_policy_runtime(make_tails_policy());
-}
-
 }  // namespace ehdnn::flex

@@ -191,8 +191,4 @@ std::unique_ptr<RuntimePolicy> make_tile_policy(TileSpec spec) {
   return std::make_unique<TilePolicy>(spec);
 }
 
-std::unique_ptr<InferenceRuntime> make_tile_runtime() {
-  return make_policy_runtime(make_tile_policy());
-}
-
 }  // namespace ehdnn::flex

@@ -22,4 +22,10 @@ inline double warn_voltage_for(const CapacitorConfig& cfg, double energy_budget_
   return std::sqrt(v2);
 }
 
+// The warn threshold every FLEX deployment uses: the worst-case
+// checkpoint plus a 5 uJ margin, with a 3x safety factor.
+inline double flex_warn_voltage(const CapacitorConfig& cfg, double worst_checkpoint_j) {
+  return warn_voltage_for(cfg, worst_checkpoint_j + 5e-6, 3.0);
+}
+
 }  // namespace ehdnn::power

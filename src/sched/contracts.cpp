@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <map>
@@ -24,6 +23,7 @@
 #include "power/monitor.h"
 #include "quant/quantize.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/rng.h"
 
 namespace ehdnn::sched::contract {
@@ -136,12 +136,6 @@ const Fixture& fixture() {
 
 // ---------------------------------------------------------- serialization
 
-std::string fmt_g17(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
 // Splits "key=value" at the FIRST '=' (values may contain '=' again:
 // source/sched specs).
 std::pair<std::string, std::string> split_kv(const std::string& tok,
@@ -180,10 +174,10 @@ std::vector<std::string> tokens_of(const std::string& line) {
 std::string serialize_world(const World& w) {
   std::string s = "world id=" + std::to_string(w.id);
   s += " src=" + w.source;
-  s += " cap=" + fmt_g17(w.cap_f);
-  s += " von=" + fmt_g17(w.v_on);
-  s += " period=" + fmt_g17(w.period_s);
-  s += " dl=" + fmt_g17(w.deadline_s);
+  s += " cap=" + g17(w.cap_f);
+  s += " von=" + g17(w.v_on);
+  s += " period=" + g17(w.period_s);
+  s += " dl=" + g17(w.deadline_s);
   s += " jobs=" + std::to_string(w.jobs);
   s += " sched=" + w.sched;
   return s;
@@ -191,10 +185,10 @@ std::string serialize_world(const World& w) {
 
 std::string serialize_world(const RelockWorld& w) {
   std::string s = "relock id=" + std::to_string(w.id);
-  s += " p1=" + fmt_g17(w.p1_s);
-  s += " p2=" + fmt_g17(w.p2_s);
-  s += " hi=" + fmt_g17(w.hi_w);
-  s += " lo=" + fmt_g17(w.lo_w);
+  s += " p1=" + g17(w.p1_s);
+  s += " p2=" + g17(w.p2_s);
+  s += " hi=" + g17(w.hi_w);
+  s += " lo=" + g17(w.lo_w);
   return s;
 }
 
@@ -438,7 +432,7 @@ SingleRun run_single(const World& w, bool force_admit_all) {
 
   flex::RunOptions opts;
   opts.max_futile_boots = 400;
-  opts.flex_v_warn = power::warn_voltage_for(supply.config(), worst_ck + 5e-6, 3.0);
+  opts.flex_v_warn = power::flex_warn_voltage(supply.config(), worst_ck);
 
   AdaptivePolicy* ap = as_adaptive(policy.get());
   ehdnn::check(ap != nullptr, "contract world: sched spec must be adaptive");
@@ -589,7 +583,7 @@ void check_stability(const World& w, const std::vector<TierDecision>& ds,
         rep.violations.push_back(
             {3, ser,
              "un-demote flap: demoted to " + floor_tier + " but re-selected " + d.tier +
-                 " at t=" + fmt_g17(d.t_s) + " within the same job"});
+                 " at t=" + g17(d.t_s) + " within the same job"});
       }
     }
   }
@@ -617,15 +611,15 @@ void check_stability(const World& w, const std::vector<TierDecision>& ds,
         if (fresh[i]->tier != fresh[i - 1]->tier) {
           rep.violations.push_back(
               {3, ser,
-               "income flap: equal forecast " + fmt_g17(fresh[i]->forecast_w) +
+               "income flap: equal forecast " + g17(fresh[i]->forecast_w) +
                    " picked " + fresh[i - 1]->tier + " and " + fresh[i]->tier});
         }
       } else if (r_cur > r_prev) {
         rep.violations.push_back(
             {3, ser,
-             "income ladder not monotone: forecast " + fmt_g17(fresh[i - 1]->forecast_w) +
+             "income ladder not monotone: forecast " + g17(fresh[i - 1]->forecast_w) +
                  " -> " + fresh[i - 1]->tier + " but richer " +
-                 fmt_g17(fresh[i]->forecast_w) + " -> leaner " + fresh[i]->tier});
+                 g17(fresh[i]->forecast_w) + " -> leaner " + fresh[i]->tier});
       }
     }
     return;
@@ -668,10 +662,10 @@ void check_stability(const World& w, const std::vector<TierDecision>& ds,
     if (a.d->tier != b.d->tier) {
       rep.violations.push_back(
           {3, ser,
-           "deadline flap: equal evidence (budget=" + fmt_g17(a.budget) +
-               " forecast=" + fmt_g17(a.forecast) + " ovh=" + fmt_g17(a.ovh) +
-               ") picked " + a.d->tier + " at t=" + fmt_g17(a.d->t_s) + " and " +
-               b.d->tier + " at t=" + fmt_g17(b.d->t_s)});
+           "deadline flap: equal evidence (budget=" + g17(a.budget) +
+               " forecast=" + g17(a.forecast) + " ovh=" + g17(a.ovh) +
+               ") picked " + a.d->tier + " at t=" + g17(a.d->t_s) + " and " +
+               b.d->tier + " at t=" + g17(b.d->t_s)});
     }
   }
 }
@@ -713,7 +707,7 @@ void check_relock(const RelockWorld& w, Report& rep) {
     rep.violations.push_back(
         {2, ser,
          "no initial lock after " + std::to_string(kLockPeriods) + " periods (period=" +
-             fmt_g17(fc->period_s()) + ")"});
+             g17(fc->period_s()) + ")"});
     return;
   }
 
@@ -742,7 +736,7 @@ void check_relock(const RelockWorld& w, Report& rep) {
   if (!resolved) {
     rep.violations.push_back(
         {2, ser,
-         "stale lock (period=" + fmt_g17(fc->period_s()) + ") survived " +
+         "stale lock (period=" + g17(fc->period_s()) + ") survived " +
              std::to_string(kMaxPeriods) + " periods of the new truth"});
     return;
   }
@@ -753,7 +747,7 @@ void check_relock(const RelockWorld& w, Report& rep) {
     rep.violations.push_back(
         {2, ser,
          "no re-lock onto the new truth after " + std::to_string(kMaxPeriods) +
-             " periods (period=" + fmt_g17(fc->period_s()) + ")"});
+             " periods (period=" + g17(fc->period_s()) + ")"});
   }
 }
 

@@ -26,6 +26,7 @@
 #include "sched/adaptive.h"
 #include "sim/scenario.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parse.h"
 #include "util/qsketch.h"
 #include "util/rng.h"
@@ -69,31 +70,8 @@ struct FleetDevice {
   }
 };
 
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 // JSON has no infinity: an unbounded deadline is emitted as -1.
 double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
-
-// Exact round-trip decimal form, used by the config echo and the shard
-// partial format so parsed-back doubles are bit-identical to the writer's.
-std::string g17(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
@@ -296,7 +274,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
       fd->supply.burst_energy());
   fd->opts.max_reboots = g.max_reboots;
   fd->opts.max_futile_boots = g.max_futile;
-  fd->opts.flex_v_warn = power::warn_voltage_for(fd->supply.config(), worst_ck + 5e-6, 3.0);
+  fd->opts.flex_v_warn = power::flex_warn_voltage(fd->supply.config(), worst_ck);
   fd->opts.profile = profile;  // JobQueue copies opts, so wire before emplace
   if (trace_capacity > 0) fd->trace.set_capacity(static_cast<std::size_t>(trace_capacity));
   fd->opts.trace = &fd->trace;  // counts-only unless the capacity above was set
@@ -538,14 +516,12 @@ void print_verbose(const FleetDeviceResult& res) {
 }
 
 // Drives devices [begin, end) to completion and feeds each result to the
-// sinks. Three execution paths, one result:
+// sinks. Two execution paths, one result:
 //   - serial (jobs == 1): the next-event engine — a min-heap keyed on
 //     JobQueue::next_time_s() with a bounded resident window, devices
 //     built on admission and destroyed on completion;
 //   - parallel (jobs > 1): workers claim whole devices off an atomic
-//     cursor, build-run-destroy each (already O(workers) resident);
-//   - legacy round-robin: the pre-event-engine loop, kept so the
-//     equivalence test can pin the engine bit-exact against it.
+//     cursor, build-run-destroy each (already O(workers) resident).
 void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
                const FleetRunOptions& opts, const std::vector<FleetSink*>& sinks) {
   auto deliver = [&](const FleetDeviceResult& res) {
@@ -557,10 +533,7 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
   // Wall-clock phase attribution (--profile): only the serial paths are
   // wired (one shared, unsynchronized sink). Device construction is timed
   // into build_s here; the executor attributes its own slices.
-  flex::PhaseProfile* const prof = run_jobs == 1 || opts.legacy_round_robin ||
-                                           end - begin <= 1
-                                       ? opts.profile
-                                       : nullptr;
+  flex::PhaseProfile* const prof = run_jobs == 1 || end - begin <= 1 ? opts.profile : nullptr;
   // Ring capture only for the ids in trace_devices (the counts-only trace
   // is unconditional, wired inside make_device).
   auto trace_cap_of = [&](int d) -> long {
@@ -579,25 +552,7 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return fd;
   };
-  if (opts.legacy_round_robin) {
-    std::vector<std::unique_ptr<FleetDevice>> fleet;
-    fleet.reserve(static_cast<std::size_t>(end - begin));
-    for (int d = begin; d < end; ++d) {
-      fleet.push_back(timed_build(d, nullptr));
-    }
-    bool any_live = true;
-    while (any_live) {
-      any_live = false;
-      for (auto& fd : fleet) {
-        if (fd->queue->finished()) continue;
-        fd->queue->step();
-        any_live = any_live || !fd->queue->finished();
-      }
-    }
-    for (int d = begin; d < end; ++d) {
-      deliver(distill(w, cfg, d, *fleet[static_cast<std::size_t>(d - begin)]));
-    }
-  } else if (run_jobs == 1 || end - begin <= 1) {
+  if (run_jobs == 1 || end - begin <= 1) {
     // Next-event engine. The heap orders (next actionable instant,
     // device id): parked devices sink until their release arrives, live
     // devices interleave in global virtual time, and ties break by id —
@@ -1012,7 +967,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     FleetRunOptions bo;
     bo.jobs = ropts.jobs;
     bo.max_resident = ropts.max_resident;
-    bo.legacy_round_robin = ropts.legacy_round_robin;
     const FleetReport br = FleetEngine(bc).run(bo);
     r.baselines.push_back({key, br.jobs_completed, br.jobs_in_deadline});
     if (ropts.verbose) {
@@ -1027,7 +981,6 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     FleetRunOptions ao;
     ao.jobs = ropts.jobs;
     ao.max_resident = ropts.max_resident;
-    ao.legacy_round_robin = ropts.legacy_round_robin;
     ao.force_admit_all = true;
     const FleetReport ar = FleetEngine(cfg_).run(ao);
     r.admission_baseline.push_back({"admit=all", ar.jobs_completed, ar.jobs_in_deadline});

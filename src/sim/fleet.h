@@ -26,11 +26,11 @@
 //
 // Devices are fully independent, so the report — and the bytes of
 // FLEET.json, schema ehdnn-fleet-v6 — is identical whether the population
-// ran on the event queue, the legacy round-robin loop, a worker pool
-// (FleetRunOptions::jobs), or split across processes as shards
-// (run_shard + merge_fleet_shards): every aggregation path sorts by
-// device id and sums in id order, and sketch merges are bin-wise integer
-// adds, so no floating-point result depends on completion order.
+// ran on the event queue, a worker pool (FleetRunOptions::jobs), or
+// split across processes as shards (run_shard + merge_fleet_shards):
+// every aggregation path sorts by device id and sums in id order, and
+// sketch merges are bin-wise integer adds, so no floating-point result
+// depends on completion order.
 //
 // Observability (schema v6): every device carries an obs::EventTrace in
 // counts-only mode — the per-kind totals stream through the same sorted
@@ -120,11 +120,6 @@ struct FleetRunOptions {
   // once (lazy build on admission, destroyed at completion). Bounds peak
   // memory at O(window), not O(population).
   int max_resident = 1024;
-  // Run the pre-event-engine stepping loop (every live device gets one
-  // slice per round, whole population resident). Kept for the
-  // equivalence test pinning the event engine bit-exact against it;
-  // implies serial execution.
-  bool legacy_round_robin = false;
   // Re-run the SAME population with every agenda's runtime forced to
   // each of these fixed keys and record jobs-completed/in-deadline —
   // the "adaptive vs best fixed runtime" comparison in FLEET.json.
@@ -137,8 +132,8 @@ struct FleetRunOptions {
   // group's admission mode to admit=all regardless of its sched spec.
   bool force_admit_all = false;
   // Host wall-clock phase attribution (--profile): recharge vs kernel vs
-  // checkpoint vs engine time. Honored only on the serial event-engine
-  // and legacy paths (the worker pool shares one sink unsynchronized);
+  // checkpoint vs engine time. Honored only on the serial event engine
+  // (the worker pool shares one sink unsynchronized);
   // null = no instrumentation. run()/run_shard() THROW when profile is
   // set together with jobs > 1 — the request used to be silently ignored,
   // which read as "the run was profiled" when it was not.

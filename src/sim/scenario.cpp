@@ -19,6 +19,7 @@
 #include "power/monitor.h"
 #include "sched/adaptive.h"
 #include "util/check.h"
+#include "util/format.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -94,22 +95,6 @@ double parse_num(const std::string& arg, const std::string& key, const std::stri
   return *v;
 }
 
-// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string json_str(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out + "\"";
-}
-
 // `src` is the scenario's shared (immutable) harvest source, or nullptr
 // for continuous bench power; the stateful capacitor is per cell, as is
 // the Device (seeded per cell so cells stay independent under any job
@@ -165,10 +150,10 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   opts.max_reboots = sc.max_reboots;
   opts.max_futile_boots = sc.max_futile;
   if (!continuous) {
-    opts.flex_v_warn = power::warn_voltage_for(cap->config(), worst_ck + 5e-6, 3.0);
+    opts.flex_v_warn = power::flex_warn_voltage(cap->config(), worst_ck);
   }
-  auto rt = flex::make_policy_runtime(std::move(policy));
-  const flex::RunStats st = rt->infer(dev, cm, inputs.at(rk.compressed), opts);
+  const flex::RunStats st =
+      flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(rk.compressed), opts);
 
   ScenarioCell cell;
   cell.task = models::task_name(task);
@@ -204,10 +189,6 @@ std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key) {
   // policy (validated by runtime_entry above).
   if (std::string(e.key) == "tile") return flex::make_tile_policy(flex::parse_tile_spec(key));
   return e.make_policy();
-}
-
-std::unique_ptr<flex::InferenceRuntime> make_runtime(const std::string& key) {
-  return flex::make_policy_runtime(make_policy(key));
 }
 
 bool runtime_uses_compressed_model(const std::string& key) {

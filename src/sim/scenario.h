@@ -115,12 +115,9 @@ struct SweepOptions {
 // --list-runtimes output.
 const std::vector<std::string>& all_runtime_keys();
 
-// Runtime factory for those keys (the one name-to-runtime mapping, also
-// used by the crash-consistency fuzzer); throws on an unknown key.
-std::unique_ptr<flex::InferenceRuntime> make_runtime(const std::string& key);
-
-// Policy factory for the same keys — for callers that drive the
-// step-based flex::IntermittentExecutor directly (the fleet harness).
+// Policy factory for those keys (the one name-to-policy mapping, shared
+// by the sweep, the fleet harness and the crash-consistency fuzzer); run
+// the result with flex::IntermittentExecutor. Throws on an unknown key.
 std::unique_ptr<flex::RuntimePolicy> make_policy(const std::string& key);
 
 // Whether a runtime key executes the RAD-compressed deployment model

@@ -108,7 +108,7 @@ RunStats run_case(const GoldenCase& gc) {
   const auto qm = gc.bcm_model ? mixed_model(rng) : dense_model(rng);
   const auto input = quant::quantize_input(
       qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = sim::make_runtime(gc.runtime);
+  auto policy = sim::make_policy(gc.runtime);
 
   dev::Device dev;
   power::ContinuousPower cont;
@@ -118,7 +118,7 @@ RunStats run_case(const GoldenCase& gc) {
   power::CapacitorSupply cap(src, cfg);
   dev.attach_supply(gc.intermittent ? static_cast<dev::PowerSupply*>(&cap) : &cont);
   const auto cm = ace::compile(qm, dev);
-  return rt->infer(dev, cm, input);
+  return IntermittentExecutor(*policy).run(dev, cm, input);
 }
 
 class PolicyEquivalence : public ::testing::TestWithParam<GoldenCase> {};
@@ -145,10 +145,10 @@ INSTANTIATE_TEST_SUITE_P(Golden, PolicyEquivalence, ::testing::ValuesIn(kGolden)
                            return name;
                          });
 
-// The one-call infer() and a manual start()/step() drain — with the run
+// The one-call run() and a manual start()/step() drain — with the run
 // suspended between every slice — must agree exactly: stats, outputs,
 // and the device-side trace totals.
-TEST(Executor, IncrementalDrainMatchesInfer) {
+TEST(Executor, IncrementalDrainMatchesRun) {
   for (const char* key : {"base", "sonic", "tails", "flex", "tile", "tile:t=2"}) {
     const bool bcm = std::string(key) == "flex" || std::string(key) == "tails";
     // BASE has no intermittence support: give it a one-burst capacitor so
@@ -159,7 +159,7 @@ TEST(Executor, IncrementalDrainMatchesInfer) {
     const auto input = quant::quantize_input(
         qm, random_tensor(qm.layers.front().in_shape, rng));
 
-    auto run_infer = [&] {
+    auto run_whole = [&] {
       dev::Device dev;
       power::ConstantSource src(1.0e-3);
       power::CapacitorConfig cfg;
@@ -167,7 +167,8 @@ TEST(Executor, IncrementalDrainMatchesInfer) {
       power::CapacitorSupply cap(src, cfg);
       dev.attach_supply(&cap);
       const auto cm = ace::compile(qm, dev);
-      return sim::make_runtime(key)->infer(dev, cm, input);
+      auto policy = sim::make_policy(key);
+      return IntermittentExecutor(*policy).run(dev, cm, input);
     };
     auto run_steps = [&](long* steps_out) {
       dev::Device dev;
@@ -189,7 +190,7 @@ TEST(Executor, IncrementalDrainMatchesInfer) {
       return ex.take_stats();
     };
 
-    const RunStats a = run_infer();
+    const RunStats a = run_whole();
     long steps = 0;
     const RunStats b = run_steps(&steps);
     ASSERT_TRUE(a.completed()) << key;

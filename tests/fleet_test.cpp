@@ -1,8 +1,8 @@
 // Fleet engine (sim/fleet.h) and parallel sweep (SweepOptions::jobs):
 // the fleet runs heterogeneous groups of duty-cycled devices through the
 // incremental executor API, and every execution path — the next-event
-// engine, the legacy round-robin loop, worker pools, process shards —
-// must produce identical artifacts.
+// engine, worker pools, process shards — must produce identical
+// artifacts.
 
 #include <gtest/gtest.h>
 
@@ -98,23 +98,24 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   EXPECT_EQ(ja.str(), jd.str()) << "FLEET.json must be byte-identical for any resident window";
 }
 
-// The new engine's ordering (pop the device with the globally-minimal
-// next actionable instant) against the old loop's (one slice per live
-// device per round): devices are independent, so the artifacts must be
+// The serial engine's ordering (pop the device with the globally-minimal
+// next actionable instant) against the worker pool, which builds, runs
+// and retires each device alone, so its result cannot depend on any
+// interleaving: devices are independent, so the artifacts must be
 // bit-exact — on the committed heterogeneous population and on the
 // micro-capacitor ladder whose livelocks exercise every verdict path.
-TEST(Fleet, EventEngineMatchesLegacyRoundRobin) {
+TEST(Fleet, EventEngineMatchesWorkerPool) {
   for (const char* path : {"configs/fleet_hetero.cfg", "configs/fleet_microcap.cfg"}) {
     const FleetConfig cfg = parse_fleet_config_file(path);
     FleetRunOptions event_opts;
-    FleetRunOptions legacy_opts;
-    legacy_opts.legacy_round_robin = true;
+    FleetRunOptions pool_opts;
+    pool_opts.jobs = 3;
     const FleetReport ev = run_fleet(cfg, event_opts);
-    const FleetReport rr = run_fleet(cfg, legacy_opts);
-    std::ostringstream jev, jrr;
+    const FleetReport pool = run_fleet(cfg, pool_opts);
+    std::ostringstream jev, jpool;
     write_fleet_json(jev, ev);
-    write_fleet_json(jrr, rr);
-    EXPECT_EQ(jev.str(), jrr.str()) << path << ": event engine diverged from round-robin";
+    write_fleet_json(jpool, pool);
+    EXPECT_EQ(jev.str(), jpool.str()) << path << ": event engine diverged from worker pool";
   }
 }
 
@@ -334,14 +335,11 @@ TEST(Sweep, JobsCountDoesNotChangeTheMatrix) {
 }
 
 TEST(Sweep, RuntimeTableIsConsistent) {
-  // One table builds keys, runtimes, and policies: every key must resolve
-  // through all three accessors without desync.
+  // One table builds keys, model variants, and policies: every key must
+  // resolve through all three accessors without desync.
   for (const auto& key : all_runtime_keys()) {
-    auto rt = make_runtime(key);
     auto policy = make_policy(key);
-    ASSERT_NE(rt, nullptr);
     ASSERT_NE(policy, nullptr);
-    EXPECT_EQ(rt->name(), policy->name()) << key;
     (void)runtime_uses_compressed_model(key);  // must not throw
     (void)runtime_is_adaptive(key);
   }
@@ -352,7 +350,6 @@ TEST(Sweep, RuntimeTableIsConsistent) {
   EXPECT_EQ(adaptive_keys, 2);
   EXPECT_TRUE(runtime_is_adaptive("adaptive"));
   EXPECT_TRUE(runtime_is_adaptive("adaptive-deadline"));
-  EXPECT_THROW(make_runtime("nope"), Error);
   EXPECT_THROW(make_policy("nope"), Error);
   EXPECT_THROW(runtime_uses_compressed_model("nope"), Error);
 }

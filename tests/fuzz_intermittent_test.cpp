@@ -12,7 +12,6 @@
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
-#include "core/flex/runtime.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
@@ -150,7 +149,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
   const auto qm = fc.bcm_model ? mixed_model(model_rng) : dense_model(model_rng);
   const auto input = quant::quantize_input(
       qm, random_tensor(qm.layers.front().in_shape, model_rng));
-  auto rt = flex::make_policy_runtime(make_case_policy(fc));
+  auto run_policy = make_case_policy(fc);
 
   RunOptions opts;
   opts.flex_v_warn = fc.flex_v_warn;
@@ -161,17 +160,17 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     power::ContinuousPower supply;
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
-    const RunStats cont = rt->infer(dev, cm, input, opts);
+    const RunStats cont = IntermittentExecutor(*run_policy).run(dev, cm, input, opts);
     ASSERT_TRUE(cont.completed());
     ASSERT_EQ(cont.reboots, 0);
     oracle = cont.output;
   }
 
-  // Every schedule runs twice: once through the classic one-call infer()
-  // and once through an explicit IntermittentExecutor start()/step()
-  // drain — the incremental path the fleet harness uses, with the run
-  // suspended between every slice. Both must match the continuous oracle
-  // bit for bit and each other on every stat.
+  // Every schedule runs twice, on two policy instances: once through the
+  // one-call IntermittentExecutor::run() and once through an explicit
+  // start()/step() drain — the incremental path the fleet harness uses,
+  // with the run suspended between every slice. Both must match the
+  // continuous oracle bit for bit and each other on every stat.
   auto policy = make_case_policy(fc);
 
   // Every schedule also runs under a lifecycle EventTrace, and the trace
@@ -215,7 +214,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
     trace.clear();
-    const RunStats st = rt->infer(dev, cm, input, opts);
+    const RunStats st = IntermittentExecutor(*run_policy).run(dev, cm, input, opts);
 
     ASSERT_TRUE(st.completed()) << fc.runtime << " seed " << seed;
     ASSERT_EQ(st.outcome, Outcome::kCompleted) << fc.runtime << " seed " << seed;
@@ -224,7 +223,7 @@ TEST_P(CrashConsistency, BitExactUnderSeededSchedules) {
         << " (" << supply.failures() << " injected failures)";
     EXPECT_EQ(st.reboots, supply.failures()) << fc.runtime << " seed " << seed;
     total_failures += supply.failures();
-    check_trace_invariants(st.reboots, seed, "infer");
+    check_trace_invariants(st.reboots, seed, "run");
 
     dev::Device dev2;
     power::FailureScheduleSupply supply2(seed, scfg);
@@ -307,8 +306,8 @@ TEST(FuzzIntermittent, AdaptiveVariantSwitchesStayBitExact) {
     power::ContinuousPower supply;
     dev.attach_supply(&supply);
     const auto cm = ace::compile(dense ? qm_d : qm_c, dev);
-    auto rt = make_flex_runtime();
-    const RunStats st = rt->infer(dev, cm, input);
+    auto flex_policy = make_flex_policy();
+    const RunStats st = IntermittentExecutor(*flex_policy).run(dev, cm, input);
     ASSERT_TRUE(st.completed());
     oracle[dense] = st.output;
   }
@@ -360,14 +359,14 @@ TEST(FuzzIntermittent, ScheduleSupplyIsDeterministic) {
   const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = make_flex_runtime();
+  auto policy = make_flex_policy();
 
   auto run_once = [&](std::uint64_t seed) {
     dev::Device dev;
     power::FailureScheduleSupply supply(seed);
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
-    const RunStats st = rt->infer(dev, cm, input);
+    const RunStats st = IntermittentExecutor(*policy).run(dev, cm, input);
     return std::pair<long, double>(supply.failures(), st.on_seconds);
   };
   const auto a = run_once(7);
@@ -386,7 +385,7 @@ TEST(FuzzIntermittent, StarvedScenarioSurfacesAsOutcome) {
   const auto qm = mixed_model(rng);
   const auto input =
       quant::quantize_input(qm, random_tensor(qm.layers.front().in_shape, rng));
-  auto rt = make_flex_runtime();
+  auto policy = make_flex_policy();
 
   dev::Device dev;
   power::ConstantSource dead(0.0);
@@ -396,7 +395,7 @@ TEST(FuzzIntermittent, StarvedScenarioSurfacesAsOutcome) {
   power::CapacitorSupply supply(dead, cfg);
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  const RunStats st = rt->infer(dev, cm, input);
+  const RunStats st = IntermittentExecutor(*policy).run(dev, cm, input);
 
   EXPECT_FALSE(st.completed());
   EXPECT_EQ(st.outcome, Outcome::kStarved);

@@ -25,6 +25,7 @@
 #include "sched/adaptive.h"
 #include "sched_test_util.h"
 #include "sim/fleet.h"
+#include "sim/scenario.h"
 
 namespace ehdnn::sched {
 namespace {
@@ -206,10 +207,7 @@ TEST(CompletionModelProperty, PredictedOrderingMatchesMeasuredOnContinuousPower)
                {"tile", true}};
   for (const auto& t : tiers) {
     const std::string key = t.key;
-    auto policy = key == "flex"    ? flex::make_flex_policy()
-                  : key == "sonic" ? flex::make_sonic_policy()
-                  : key == "tile"  ? flex::make_tile_policy()
-                                   : flex::make_ace_policy();
+    auto policy = sim::make_policy(key);
     flex::IntermittentExecutor ex(*policy);
     const flex::RunStats st = ex.run(dev, t.dense ? cm_d : cm_c, input);
     ASSERT_TRUE(st.completed()) << t.key;

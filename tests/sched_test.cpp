@@ -8,7 +8,6 @@
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
-#include "core/flex/runtime.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
@@ -308,8 +307,8 @@ TEST(Adaptive, MisforecastDemotesAceToFlexAndCompletes) {
 
   auto fixed_flex_run = [&](dev::Device& dev, const ace::CompiledModel& cm,
                             const flex::RunOptions& opts) {
-    auto rt = flex::make_flex_runtime();
-    return rt->infer(dev, cm, input, opts);
+    auto policy = flex::make_flex_policy();
+    return flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
   };
 
   const auto run_supply = [&](flex::RuntimePolicy* policy, bool* completed,
@@ -322,8 +321,8 @@ TEST(Adaptive, MisforecastDemotesAceToFlexAndCompletes) {
     dev.attach_supply(&supply);
     const auto cm = ace::compile(qm, dev);
     flex::RunOptions opts;
-    opts.flex_v_warn = power::warn_voltage_for(
-        ccfg, flex::worst_checkpoint_energy(cm, dev.cost()) + 5e-6, 3.0);
+    opts.flex_v_warn =
+        power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, dev.cost()));
     if (opts_out != nullptr) *opts_out = opts;
     if (policy == nullptr) {
       const flex::RunStats st = fixed_flex_run(dev, cm, opts);
@@ -379,8 +378,8 @@ TEST(Adaptive, ObservedIncomeFeedsTheForecaster) {
   provision_adaptive(*policy, img);
 
   flex::RunOptions opts;
-  opts.flex_v_warn = power::warn_voltage_for(
-      ccfg, flex::worst_checkpoint_energy(cm_c, dev.cost()) + 5e-6, 3.0);
+  opts.flex_v_warn =
+      power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm_c, dev.cost()));
   flex::IntermittentExecutor ex(*policy);
   const flex::RunStats st = ex.run(dev, cm_c, input, opts);
 

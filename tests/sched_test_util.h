@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
+#include "core/flex/executor.h"
 #include "device/device.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
@@ -73,8 +73,8 @@ inline std::vector<fx::q15_t> continuous_oracle(const quant::QuantModel& qm,
   power::ContinuousPower supply;
   dev.attach_supply(&supply);
   const auto cm = ace::compile(qm, dev);
-  auto rt = flex::make_flex_runtime();
-  const flex::RunStats st = rt->infer(dev, cm, input);
+  auto policy = flex::make_flex_policy();
+  const flex::RunStats st = flex::IntermittentExecutor(*policy).run(dev, cm, input);
   EXPECT_TRUE(st.completed()) << "continuous oracle run did not complete";
   return st.output;
 }
