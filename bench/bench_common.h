@@ -7,15 +7,12 @@
 #include <iostream>
 #include <string>
 
-#include "core/ace/compiled_model.h"
 #include "core/flex/executor.h"
 #include "models/zoo.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
-#include "power/capacitor.h"
-#include "power/continuous.h"
-#include "power/monitor.h"
 #include "quant/quantize.h"
+#include "sim/recipe.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -112,27 +109,19 @@ inline flex::RunStats run_framework(Framework fw, models::Task task, const Power
   const bool compressed = sim::runtime_uses_compressed_model(runtime_key(fw));
   Rng rng(0xb0a710ad + static_cast<std::uint64_t>(task));
   const auto qm = models::make_deployed_qmodel(task, compressed, rng);
-
-  dev::Device dev(models::deployment_device_config(compressed));
-  power::ContinuousPower cont;
-  power::ConstantSource src(ps.harvest_w);
-  power::CapacitorConfig ccfg;
-  ccfg.capacitance_f = ps.capacitance_f;
-  power::CapacitorSupply cap(src, ccfg);
-  dev.attach_supply(ps.continuous ? static_cast<dev::PowerSupply*>(&cont) : &cap);
-
-  const auto cm = ace::compile(qm, dev);
+  const sim::CompiledImage image = sim::compile_image(
+      qm, nullptr, models::deployment_device_config(compressed).fram_words);
   std::vector<fx::q15_t> input(qm.layers.front().in_size());
   for (auto& v : input) v = static_cast<fx::q15_t>(rng.next_u64());
 
-  flex::RunOptions opts;
-  opts.max_reboots = max_reboots;
-  if (!ps.continuous) {
-    opts.flex_v_warn =
-        power::flex_warn_voltage(ccfg, flex::worst_checkpoint_energy(cm, dev.cost()));
-  }
-  const auto policy = sim::make_policy(runtime_key(fw));
-  return flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
+  power::ConstantSource src(ps.harvest_w);
+  sim::DeviceRecipe r;
+  r.runtime = runtime_key(fw);
+  if (!ps.continuous) r.source = &src;
+  r.capacitor.capacitance_f = ps.capacitance_f;
+  r.opts.max_reboots = max_reboots;
+  const auto d = sim::provision(r, image);
+  return flex::IntermittentExecutor(*d->policy).run(d->device, image.primary, input, d->opts);
 }
 
 inline std::string ms(double seconds) { return Table::num(seconds * 1e3, 2) + " ms"; }

@@ -7,6 +7,7 @@
 
 #include "bench_common.h"
 #include "nn/bcm_dense.h"
+#include "power/monitor.h"
 
 int main() {
   using namespace ehdnn;

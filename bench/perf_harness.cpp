@@ -222,7 +222,7 @@ KernelResult bench_fleet(bool smoke) {
   cfg.groups.push_back(g);
 
   const double t0 = now_ns();
-  const sim::FleetReport rep = sim::run_fleet(cfg);
+  const sim::FleetReport rep = sim::FleetEngine(cfg).run();
   const double wall = now_ns() - t0;
 
   KernelResult r;

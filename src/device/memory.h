@@ -90,10 +90,10 @@ class MemoryRegion {
 
   // Image cloning: replace this region's contents AND allocator state
   // with a copy of `other`'s. Cost-free like peek/poke — this is a
-  // programming-time operation (the fleet engine stamps each device's
-  // FRAM from its group's compiled template instead of re-running
-  // ace::compile per device; the poke sequence compile would perform is
-  // cost-free too, so the clone is observationally identical).
+  // programming-time operation (sim::provision stamps each device's
+  // FRAM from a shared compiled image instead of re-running ace::compile
+  // per device; the poke sequence compile would perform is cost-free
+  // too, so the clone is observationally identical).
   void clone_from(const MemoryRegion& other) {
     check(kind_ == other.kind_ && words_.size() == other.words_.size(),
           "MemoryRegion: clone_from geometry mismatch");

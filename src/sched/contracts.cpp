@@ -1,29 +1,24 @@
 #include "sched/contracts.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
-#include "core/ace/compiled_model.h"
-#include "core/flex/runtime.h"
-#include "device/device.h"
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
 #include "nn/dense.h"
 #include "nn/model.h"
 #include "nn/simple_layers.h"
-#include "power/capacitor.h"
 #include "power/factory.h"
-#include "power/monitor.h"
 #include "quant/quantize.h"
+#include "sim/recipe.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ehdnn::sched::contract {
@@ -75,9 +70,7 @@ quant::QuantModel tiny_dense(Rng& rng) {
 }
 
 struct Fixture {
-  quant::QuantModel qm_c;
-  quant::QuantModel qm_d;
-  std::size_t fram_words = 0;
+  sim::CompiledImage image;      // both variants co-resident, stamped per world
   std::vector<fx::q15_t> input;  // one deterministic input, reused per job
   CompletionModel cmpl;          // shared calibration (scratch, continuous)
   std::map<std::string, int> energy_rank;  // decide_deadline's tier order
@@ -88,35 +81,19 @@ const Fixture& fixture() {
   static const Fixture fx_ = [] {
     Fixture f;
     Rng rng(0x5eed);
-    f.qm_c = tiny_compressed(rng);
-    f.qm_d = tiny_dense(rng);
-    // FRAM sized like the fleet does it: compile both variants co-resident
-    // on a scratch device, keep the high-water mark plus slack.
-    {
-      dev::DeviceConfig big;
-      big.fram_words = 1 << 22;
-      dev::Device scratch(big);
-      ace::compile(f.qm_c, scratch);
-      const std::size_t used =
-          ace::compile(f.qm_d, scratch, /*co_resident=*/true).fram_words_used;
-      f.fram_words = used + 1024;
-    }
-    const std::size_t in_size = f.qm_c.layers.front().in_size();
-    f.input.resize(in_size);
+    const quant::QuantModel qm_c = tiny_compressed(rng);
+    const quant::QuantModel qm_d = tiny_dense(rng);
+    // Both variants co-resident, on FRAM fitted the way the fleet fits a
+    // group's image (sim::fit_fram_words).
+    f.image = sim::compile_image(qm_c, &qm_d, sim::fit_fram_words(qm_c, &qm_d));
+    f.input.resize(qm_c.layers.front().in_size());
     Rng in_rng(0xf1ee7);
     for (auto& v : f.input) v = static_cast<fx::q15_t>(in_rng.next_u64());
     // The shared calibration: identical to what every world's policy
     // computes lazily (scratch replica, bench power), used here only to
     // rank tiers by calibrated energy for the CONTRACT-3 deadline check.
-    {
-      dev::DeviceConfig dcfg;
-      dcfg.fram_words = f.fram_words;
-      dev::Device scratch(dcfg);
-      const ace::CompiledModel cm_c = ace::compile(f.qm_c, scratch);
-      const ace::CompiledModel cm_d =
-          ace::compile(f.qm_d, scratch, /*co_resident=*/true);
-      f.cmpl = CompletionModel::calibrate(cm_c, &cm_d, dcfg);
-    }
+    f.cmpl = CompletionModel::calibrate(f.image.primary, f.image.dense_or_null(),
+                                        f.image.snapshot->config());
     std::vector<int> order(f.cmpl.tiers().size());
     for (std::size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
     std::sort(order.begin(), order.end(), [&](int a, int b) {
@@ -412,29 +389,17 @@ SingleRun run_single(const World& w, bool force_admit_all) {
   SingleRun out;
 
   const std::unique_ptr<power::HarvestSource> src = power::make_harvest_source(w.source);
-  power::CapacitorConfig ccfg;
-  ccfg.capacitance_f = w.cap_f;
-  ccfg.v_on = w.v_on;
-  power::CapacitorSupply supply(*src, ccfg);
+  sim::DeviceRecipe r;
+  r.runtime = "adaptive";
+  r.sched_spec = w.sched;
+  r.force_admit_all = force_admit_all;
+  r.source = src.get();
+  r.capacitor.capacitance_f = w.cap_f;
+  r.capacitor.v_on = w.v_on;
+  r.opts.max_futile_boots = 400;
+  const std::unique_ptr<sim::ProvisionedDevice> d = sim::provision(r, fx_.image);
 
-  dev::DeviceConfig dcfg;
-  dcfg.fram_words = fx_.fram_words;
-  dev::Device dev(dcfg);
-  dev.attach_supply(&supply);
-  const ace::CompiledModel cm_c = ace::compile(fx_.qm_c, dev);
-  const ace::CompiledModel cm_d = ace::compile(fx_.qm_d, dev, /*co_resident=*/true);
-
-  AdaptiveSpec spec = parse_adaptive_spec(w.sched);
-  if (force_admit_all) spec.admit = Admission::kAll;
-  std::unique_ptr<flex::RuntimePolicy> policy = make_adaptive_policy(std::move(spec));
-  const double worst_ck =
-      provision_deployment(*policy, dev.cost(), cm_c, &cm_d, supply.burst_energy());
-
-  flex::RunOptions opts;
-  opts.max_futile_boots = 400;
-  opts.flex_v_warn = power::flex_warn_voltage(supply.config(), worst_ck);
-
-  AdaptivePolicy* ap = as_adaptive(policy.get());
+  AdaptivePolicy* ap = as_adaptive(d->policy.get());
   ehdnn::check(ap != nullptr, "contract world: sched spec must be adaptive");
   ap->set_decision_log(&out.decisions);
 
@@ -446,7 +411,7 @@ SingleRun run_single(const World& w, bool force_admit_all) {
   const std::vector<std::vector<fx::q15_t>> inputs(
       static_cast<std::size_t>(w.jobs), fx_.input);
 
-  JobQueue q(dev, *policy, cm_c, opts, agenda, &inputs);
+  JobQueue q(d->device, *d->policy, fx_.image.primary, d->opts, agenda, &inputs);
   while (q.step()) {
     if (q.steps() > kMaxStepsPerRun) {
       out.aborted = true;
@@ -758,28 +723,12 @@ void check_relock(const RelockWorld& w, Report& rep) {
 Report check(const std::vector<World>& worlds, const std::vector<RelockWorld>& relocks,
              int jobs) {
   fixture();  // build the shared fixture before the pool forks
-  const int n_workers = std::max(1, jobs);
 
   // Worlds run in a worker pool; results land per-index and reduce in
   // world order, so the report bytes cannot depend on the worker count.
   std::vector<WorldResult> results(worlds.size());
-  std::atomic<std::size_t> next{0};
-  auto worker = [&]() {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1);
-      if (i >= worlds.size()) return;
-      results[i] = run_world(worlds[i]);
-    }
-  };
-  if (n_workers == 1 || worlds.size() <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    const int n = std::min<int>(n_workers, static_cast<int>(worlds.size()));
-    pool.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+  parallel_for(worlds.size(), jobs,
+               [&](std::size_t i) { results[i] = run_world(worlds[i]); });
 
   Report rep;
   for (std::size_t i = 0; i < worlds.size(); ++i) {

@@ -1,13 +1,11 @@
 #include "sim/fleet.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -16,17 +14,15 @@
 #include <queue>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <utility>
 
-#include "core/ace/compiled_model.h"
-#include "power/capacitor.h"
 #include "power/factory.h"
-#include "power/monitor.h"
 #include "sched/adaptive.h"
+#include "sim/recipe.h"
 #include "sim/scenario.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/qsketch.h"
 #include "util/rng.h"
@@ -40,34 +36,13 @@ namespace {
 // contract (sketches only merge at equal rel_err).
 constexpr double kSketchRelErr = 0.01;
 
-// Everything one simulated device owns. Pointer-stable (held by
-// unique_ptr) because supplies, executors and the job queue point into it.
-// The compiled models are SHARED with the device's group template (see
-// GroupTemplate below): compilation is a pure function of (model,
-// geometry), so every device in a homogeneous group points at one
-// immutable CompiledModel instead of carrying a private copy of the
-// weights and gather tables.
+// One simulated device: the provisioned device (stamped from its group's
+// shared CompiledImage) plus its per-job inputs and agenda. Pointer-stable
+// (held by unique_ptr) because the job queue points into it.
 struct FleetDevice {
-  power::TimeOffsetSource source;
-  power::CapacitorSupply supply;
-  dev::Device device;
-  std::shared_ptr<const ace::CompiledModel> cm_primary;
-  std::shared_ptr<const ace::CompiledModel> cm_dense;  // adaptive: co-resident twin
+  std::unique_ptr<ProvisionedDevice> dev;
   std::vector<std::vector<fx::q15_t>> inputs;  // one per job
-  std::unique_ptr<flex::RuntimePolicy> policy;
-  // Lifecycle event sink: counts-only on every device (feeds the metrics
-  // block), ring capture when the device is in trace_devices. Wired into
-  // both RunOptions (executor/policy/queue sites) and the supply (kIdle).
-  obs::EventTrace trace;
-  flex::RunOptions opts;
-  std::optional<sched::JobQueue> queue;  // constructed last (borrows the rest)
-
-  FleetDevice(const power::HarvestSource& base, double offset,
-              const power::CapacitorConfig& ccfg, const dev::DeviceConfig& dcfg,
-              dev::DeviceSlabs* slabs)
-      : source(base, offset), supply(source, ccfg), device(dcfg, slabs) {
-    device.attach_supply(&supply);
-  }
+  std::optional<sched::JobQueue> queue;        // constructed last (borrows the rest)
 };
 
 // JSON has no infinity: an unbounded deadline is emitted as -1.
@@ -97,41 +72,14 @@ void validate(const FleetConfig& cfg) {
   }
 }
 
-// The model variants a group's runtime executes: adaptive ships both.
-void group_variants(const FleetGroup& g, bool* need_compressed, bool* need_dense) {
-  const bool adaptive = runtime_is_adaptive(g.agenda.runtime);
-  const bool compressed = runtime_uses_compressed_model(g.agenda.runtime);
-  *need_compressed = adaptive || compressed;
-  *need_dense = adaptive || !compressed;
-}
-
-// One group's compile-once execution image. ace::compile is a pure
-// function of (model, device geometry): it pokes the weight image into
-// FRAM and bump-allocates scratch plans, drawing no energy and touching
-// no per-device randomness. So a homogeneous group compiles ONCE onto a
-// template device at build time; every admitted device then (a) stamps
-// its FRAM/SRAM from the template's post-compile image (MemoryRegion::
-// clone_from — cost-free, exactly what the poke sequence would have
-// produced) and (b) shares the immutable CompiledModel by pointer. This
-// removes the per-device O(model) compile + weight copy from the hot
-// admission path and collapses the group's model storage to one copy.
-struct GroupTemplate {
-  std::shared_ptr<const ace::CompiledModel> cm_primary;
-  std::shared_ptr<const ace::CompiledModel> cm_dense;  // adaptive only
-  std::unique_ptr<dev::Device> image;  // post-compile FRAM/SRAM snapshot
-};
-
 // Population-wide immutable state shared by every device build: the base
-// harvest source, one model instance per (task, variant), each group's
-// FRAM sizing and compiled template, and the device-id -> group mapping.
-// Building a device needs nothing else, which is what lets the event
-// engine construct devices lazily (and worker processes construct only
-// their shard).
+// harvest source, each group's compiled image, and the device-id -> group
+// mapping. Building a device needs nothing else, which is what lets the
+// event engine construct devices lazily (and worker processes construct
+// only their shard).
 struct FleetWorld {
   std::unique_ptr<power::HarvestSource> base_source;
-  std::map<std::pair<int, bool>, quant::QuantModel> qms;
-  std::vector<std::size_t> group_fram;
-  std::vector<GroupTemplate> group_tpl;
+  std::vector<CompiledImage> group_image;
   std::vector<std::size_t> device_group;  // device id -> group index
   int n = 0;
 };
@@ -144,62 +92,26 @@ FleetWorld build_world(const FleetConfig& cfg) {
   // One model instance per (task, variant) for the whole fleet, seeded
   // like the scenario sweep; each device gets its own derived inputs
   // (different users, different samples).
+  std::map<std::pair<int, bool>, quant::QuantModel> qms;
   for (const auto& g : cfg.groups) {
-    bool need_c = false, need_d = false;
-    group_variants(g, &need_c, &need_d);
+    const ShippedVariants v = shipped_variants(g.agenda.runtime);
     for (const bool compressed : {true, false}) {
-      if (!(compressed ? need_c : need_d)) continue;
       const auto key = std::make_pair(static_cast<int>(g.task), compressed);
-      if (w.qms.count(key) != 0) continue;
+      if (!v.ships(compressed) || qms.count(key) != 0) continue;
       Rng rng(cfg.seed + static_cast<std::uint64_t>(g.task));
-      w.qms.emplace(key, models::make_deployed_qmodel(g.task, compressed, rng));
+      qms.emplace(key, models::make_deployed_qmodel(g.task, compressed, rng));
     }
   }
 
-  // Auto-size each group's FRAM: compile its image(s) once on a scratch
-  // device and take the cumulative footprint plus slack. Keeps a mixed
-  // fleet's memory proportional to what each device actually ships
-  // instead of provisioning every device for the largest dense twin.
-  w.group_fram.resize(cfg.groups.size());
-  w.group_tpl.resize(cfg.groups.size());
-  for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
-    const FleetGroup& g = cfg.groups[gi];
-    const bool adaptive = runtime_is_adaptive(g.agenda.runtime);
-    const bool primary_compressed = runtime_uses_compressed_model(g.agenda.runtime);
-    if (g.fram_words != 0) {
-      w.group_fram[gi] = g.fram_words;
-    } else {
-      bool need_c = false, need_d = false;
-      group_variants(g, &need_c, &need_d);
-      dev::DeviceConfig scratch_cfg = models::deployment_device_config(/*compressed=*/false);
-      dev::Device scratch(scratch_cfg);
-      std::size_t used = 0;
-      bool first = true;
-      for (const bool compressed : {true, false}) {
-        if (!(compressed ? need_c : need_d)) continue;
-        const auto& qm = w.qms.at({static_cast<int>(g.task), compressed});
-        used = ace::compile(qm, scratch, /*co_resident=*/!first).fram_words_used;
-        first = false;
-      }
-      w.group_fram[gi] = used + 1024;
-    }
-
-    // Bake the group's template: compile the image(s) this group's
-    // runtime ships onto a device with the group's exact geometry, in
-    // the exact order make_device used to (primary, then the dense twin
-    // co-resident for adaptive groups), and keep the post-compile device
-    // as the memory snapshot every admitted device is stamped from.
-    GroupTemplate& tpl = w.group_tpl[gi];
-    dev::DeviceConfig tcfg;
-    tcfg.fram_words = w.group_fram[gi];
-    tpl.image = std::make_unique<dev::Device>(tcfg);
-    tpl.cm_primary = std::make_shared<const ace::CompiledModel>(
-        ace::compile(w.qms.at({static_cast<int>(g.task), primary_compressed}), *tpl.image));
-    if (adaptive) {
-      tpl.cm_dense = std::make_shared<const ace::CompiledModel>(
-          ace::compile(w.qms.at({static_cast<int>(g.task), false}), *tpl.image,
-                       /*co_resident=*/true));
-    }
+  // One compile per group, on FRAM sized to fit unless the config pins it.
+  for (const FleetGroup& g : cfg.groups) {
+    const ShippedVariants v = shipped_variants(g.agenda.runtime);
+    const quant::QuantModel& primary =
+        qms.at({static_cast<int>(g.task), v.primary_compressed});
+    const quant::QuantModel* dense =
+        v.dense_twin ? &qms.at({static_cast<int>(g.task), false}) : nullptr;
+    w.group_image.push_back(compile_image(
+        primary, dense, g.fram_words != 0 ? g.fram_words : fit_fram_words(primary, dense)));
   }
 
   w.device_group.reserve(static_cast<std::size_t>(w.n));
@@ -212,36 +124,35 @@ FleetWorld build_world(const FleetConfig& cfg) {
 // Builds device `d` of the population. Depends only on (cfg, world, d),
 // never on which devices exist around it — the property every execution
 // path (event queue, worker pool, shard) relies on for determinism.
+// `profile` is the run's phase sink when this path is profiled, else null.
 std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig& cfg, int d,
-                                         bool force_admit_all,
-                                         dev::DeviceSlabs* slabs = nullptr,
-                                         flex::PhaseProfile* profile = nullptr,
-                                         long trace_capacity = 0) {
+                                         const FleetRunOptions& opts, dev::DeviceSlabs* slabs,
+                                         flex::PhaseProfile* profile) {
   const std::size_t gi = w.device_group[static_cast<std::size_t>(d)];
   const FleetGroup& g = cfg.groups[gi];
-  const bool adaptive = runtime_is_adaptive(g.agenda.runtime);
+  const CompiledImage& image = w.group_image[gi];
 
-  power::CapacitorConfig ccfg;
-  ccfg.capacitance_f = g.capacitance_f;
-  ccfg.max_off_s = g.max_off_s;
+  DeviceRecipe r;
+  r.runtime = g.agenda.runtime;
+  r.sched_spec = g.sched_spec;
+  r.force_admit_all = opts.force_admit_all;
+  r.source = w.base_source.get();
+  r.offset_s = cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(w.n);
+  r.capacitor.capacitance_f = g.capacitance_f;
+  r.capacitor.max_off_s = g.max_off_s;
+  r.scramble_seed = cfg.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(d) + 1);
+  r.opts.max_reboots = g.max_reboots;
+  r.opts.max_futile_boots = g.max_futile;
+  r.opts.profile = profile;
+  // Ring capture only for the ids in trace_devices (the counts-only
+  // trace is unconditional).
+  for (const int id : opts.trace_devices) {
+    if (id == d) r.trace_capacity = std::max<long>(1, opts.trace_capacity);
+  }
 
-  const double offset =
-      cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(w.n);
-  dev::DeviceConfig dcfg;
-  dcfg.fram_words = w.group_fram[gi];
-  dcfg.scramble_seed =
-      cfg.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(d) + 1);
-
-  auto fd = std::make_unique<FleetDevice>(*w.base_source, offset, ccfg, dcfg, slabs);
-  // Stamp the group's compiled image instead of re-running ace::compile:
-  // identical FRAM bytes and allocator state, one shared CompiledModel.
-  const GroupTemplate& tpl = w.group_tpl[gi];
-  fd->device.fram().clone_from(tpl.image->fram());
-  fd->device.sram().clone_from(tpl.image->sram());
-  fd->cm_primary = tpl.cm_primary;
-  if (adaptive) fd->cm_dense = tpl.cm_dense;
-
-  const std::size_t in_size = fd->cm_primary->model.layers.front().in_size();
+  auto fd = std::make_unique<FleetDevice>();
+  fd->dev = provision(r, image, slabs);
+  const std::size_t in_size = image.primary.model.layers.front().in_size();
   fd->inputs.resize(static_cast<std::size_t>(g.agenda.jobs));
   for (int j = 0; j < g.agenda.jobs; ++j) {
     Rng in_rng(cfg.seed ^ (0xf1ee7ull + static_cast<std::uint64_t>(d) * 0x10001ull +
@@ -250,36 +161,8 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
     input.resize(in_size);
     for (auto& v : input) v = static_cast<fx::q15_t>(in_rng.next_u64());
   }
-
-  if (adaptive && !g.sched_spec.empty()) {
-    sched::AdaptiveSpec aspec = sched::parse_adaptive_spec(g.sched_spec);
-    if (force_admit_all) aspec.admit = sched::Admission::kAll;
-    fd->policy = sched::make_adaptive_policy(std::move(aspec));
-  } else {
-    // The runtime table's own factory — which for the adaptive keys
-    // already carries the key's default spec (income ladder for
-    // "adaptive", deadline selection for "adaptive-deadline").
-    fd->policy = make_policy(g.agenda.runtime);
-    if (force_admit_all) {
-      if (auto* ap = sched::as_adaptive(fd->policy.get());
-          ap != nullptr && ap->spec().admit == sched::Admission::kBudget) {
-        sched::AdaptiveSpec aspec = ap->spec();
-        aspec.admit = sched::Admission::kAll;
-        fd->policy = sched::make_adaptive_policy(std::move(aspec));
-      }
-    }
-  }
-  const double worst_ck = sched::provision_deployment(
-      *fd->policy, fd->device.cost(), *fd->cm_primary, fd->cm_dense.get(),
-      fd->supply.burst_energy());
-  fd->opts.max_reboots = g.max_reboots;
-  fd->opts.max_futile_boots = g.max_futile;
-  fd->opts.flex_v_warn = power::flex_warn_voltage(fd->supply.config(), worst_ck);
-  fd->opts.profile = profile;  // JobQueue copies opts, so wire before emplace
-  if (trace_capacity > 0) fd->trace.set_capacity(static_cast<std::size_t>(trace_capacity));
-  fd->opts.trace = &fd->trace;  // counts-only unless the capacity above was set
-  fd->supply.set_trace(&fd->trace);
-  fd->queue.emplace(fd->device, *fd->policy, *fd->cm_primary, fd->opts, g.agenda, &fd->inputs);
+  fd->queue.emplace(fd->dev->device, *fd->dev->policy, image.primary, fd->dev->opts,
+                    g.agenda, &fd->inputs);
   return fd;
 }
 
@@ -293,18 +176,19 @@ FleetDeviceResult distill(const FleetWorld& w, const FleetConfig& cfg, int d,
   FleetDeviceResult res;
   res.device = d;
   res.group = g.name;
-  res.offset_s = fd.source.offset();
+  res.offset_s = fd.dev->source->offset();
   res.task = models::task_name(g.task);
   res.runtime = g.agenda.runtime;
   res.capacitance_f = g.capacitance_f;
   res.jobs = fd.queue->records();
   res.steps = fd.queue->steps();
-  for (int k = 0; k < obs::kKindCount; ++k) res.event_counts[k] = fd.trace.counts()[k];
-  if (fd.trace.capacity() > 0) {
+  const obs::EventTrace& trace = fd.dev->trace;
+  for (int k = 0; k < obs::kKindCount; ++k) res.event_counts[k] = trace.counts()[k];
+  if (trace.capacity() > 0) {
     res.trace_selected = true;
-    res.trace_events = fd.trace.snapshot();
-    res.trace_dropped = fd.trace.dropped();
-    res.trace_total = fd.trace.total();
+    res.trace_events = trace.snapshot();
+    res.trace_dropped = trace.dropped();
+    res.trace_total = trace.total();
   }
   for (const auto& j : res.jobs) {
     ++res.jobs_total;
@@ -520,8 +404,8 @@ void print_verbose(const FleetDeviceResult& res) {
 //   - serial (jobs == 1): the next-event engine — a min-heap keyed on
 //     JobQueue::next_time_s() with a bounded resident window, devices
 //     built on admission and destroyed on completion;
-//   - parallel (jobs > 1): workers claim whole devices off an atomic
-//     cursor, build-run-destroy each (already O(workers) resident).
+//   - parallel (jobs > 1): parallel_for workers claim whole devices and
+//     build-run-destroy each (already O(workers) resident).
 void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
                const FleetRunOptions& opts, const std::vector<FleetSink*>& sinks) {
   auto deliver = [&](const FleetDeviceResult& res) {
@@ -534,20 +418,10 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
   // wired (one shared, unsynchronized sink). Device construction is timed
   // into build_s here; the executor attributes its own slices.
   flex::PhaseProfile* const prof = run_jobs == 1 || end - begin <= 1 ? opts.profile : nullptr;
-  // Ring capture only for the ids in trace_devices (the counts-only trace
-  // is unconditional, wired inside make_device).
-  auto trace_cap_of = [&](int d) -> long {
-    for (const int id : opts.trace_devices) {
-      if (id == d) return std::max<long>(1, opts.trace_capacity);
-    }
-    return 0;
-  };
   auto timed_build = [&](int d, dev::DeviceSlabs* slabs) {
-    if (prof == nullptr) {
-      return make_device(w, cfg, d, opts.force_admit_all, slabs, nullptr, trace_cap_of(d));
-    }
+    if (prof == nullptr) return make_device(w, cfg, d, opts, slabs, nullptr);
     const auto t0 = std::chrono::steady_clock::now();
-    auto fd = make_device(w, cfg, d, opts.force_admit_all, slabs, prof, trace_cap_of(d));
+    auto fd = make_device(w, cfg, d, opts, slabs, prof);
     prof->build_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
     return fd;
@@ -595,7 +469,7 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
         deliver(distill(w, cfg, d, *slot));
         if (next_build < end) {
           arena.emplace_back();
-          slot->device.release_slabs(arena.back());
+          slot->dev->device.release_slabs(arena.back());
         }
         slot.reset();  // free the window slot before admitting the next id
         --resident;
@@ -605,25 +479,17 @@ void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
       }
     }
   } else {
-    std::atomic<int> cursor{begin};
     std::mutex mu;
-    auto worker = [&] {
-      for (int d = cursor.fetch_add(1); d < end; d = cursor.fetch_add(1)) {
-        auto fd = make_device(w, cfg, d, opts.force_admit_all, nullptr, nullptr,
-                              trace_cap_of(d));
-        while (fd->queue->step()) {
-        }
-        const FleetDeviceResult res = distill(w, cfg, d, *fd);
-        fd.reset();
-        std::lock_guard<std::mutex> lk(mu);
-        deliver(res);
+    parallel_for(static_cast<std::size_t>(end - begin), run_jobs, [&](std::size_t k) {
+      const int d = begin + static_cast<int>(k);
+      auto fd = make_device(w, cfg, d, opts, nullptr, nullptr);
+      while (fd->queue->step()) {
       }
-    };
-    std::vector<std::thread> pool;
-    const int n_threads = std::min(run_jobs, end - begin);
-    pool.reserve(static_cast<std::size_t>(n_threads));
-    for (int t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
+      const FleetDeviceResult res = distill(w, cfg, d, *fd);
+      fd.reset();
+      std::lock_guard<std::mutex> lk(mu);
+      deliver(res);
+    });
   }
 }
 
@@ -929,7 +795,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
   const FleetWorld w = build_world(cfg_);
   validate_run_options(ropts, w.n);
   if (ropts.profile != nullptr) {
-    // World build (model gen + per-group template compiles) is build
+    // World build (model gen + per-group image compiles) is build
     // time, like device stamping.
     ropts.profile->build_s +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
@@ -1144,10 +1010,6 @@ FleetReport merge_fleet_shards(const std::vector<std::string>& paths) {
     }
   }
   return finalize_report(cfg, agg, cfg.per_device_detail ? &detail : nullptr);
-}
-
-FleetReport run_fleet(const FleetConfig& cfg, const FleetRunOptions& ropts) {
-  return FleetEngine(cfg).run(ropts);
 }
 
 void write_fleet_json(std::ostream& os, const FleetReport& r) {

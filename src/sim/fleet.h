@@ -69,7 +69,7 @@ struct FleetGroup {
   // empty = defaults. Only meaningful when agenda.runtime == "adaptive".
   std::string sched_spec;
   // Per-device FRAM words; 0 = auto-sized to fit this group's compiled
-  // image(s) (both variants for adaptive) plus slack.
+  // image(s) (both variants for adaptive) plus slack (sim::fit_fram_words).
   std::size_t fram_words = 0;
 };
 
@@ -253,8 +253,9 @@ class FleetSink {
 
 // Builds and runs one fleet population. Construction validates the
 // config and throws on unknown runtime keys or harvest specs (fail fast,
-// before any device boots); model images and FRAM sizing are shared
-// across the population, devices themselves are built lazily per run.
+// before any device boots). Each run compiles one image per group
+// (sim/recipe.h: FRAM fitted unless the group pins it) and builds devices
+// lazily, each stamped from its group's image by sim::provision.
 //
 //   FleetReport r = FleetEngine(cfg).add_sink(my_sink).run(opts);
 //
@@ -289,9 +290,6 @@ class FleetEngine {
 // into the population's FleetReport. Verifies every partial echoes the
 // same config and that the shard ranges tile [0, N) exactly.
 FleetReport merge_fleet_shards(const std::vector<std::string>& paths);
-
-// Compatibility wrapper: FleetEngine(cfg).run(ropts).
-FleetReport run_fleet(const FleetConfig& cfg, const FleetRunOptions& ropts = {});
 
 // FLEET.json, schema ehdnn-fleet-v6 (see BENCHMARKS.md "Observability"
 // for the v5 -> v6 reader notes: the report gains a "metrics" block —

@@ -1,25 +1,19 @@
 #include "sim/scenario.h"
 
-#include <atomic>
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <thread>
 
-#include <limits>
-#include <optional>
-
-#include "core/ace/compiled_model.h"
-#include "power/capacitor.h"
-#include "power/continuous.h"
 #include "power/factory.h"
-#include "power/monitor.h"
 #include "sched/adaptive.h"
+#include "sim/recipe.h"
 #include "util/check.h"
 #include "util/format.h"
+#include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
 
@@ -43,8 +37,7 @@ std::unique_ptr<flex::RuntimePolicy> make_adaptive_deadline() {
 // (the sweep, the fuzzer, and the fleet harness all resolve through it).
 // `adaptive` entries ship BOTH variants co-resident and pick per boot;
 // their `compressed` flag names the primary image the executor is armed
-// with (the sim layer provisions the dense twin via sched::
-// provision_adaptive).
+// with (sim/recipe.h ships the dense twin co-resident beside it).
 struct RuntimeEntry {
   const char* key;
   bool compressed;  // deployment model vs dense twin (primary for adaptive)
@@ -95,65 +88,30 @@ double parse_num(const std::string& arg, const std::string& key, const std::stri
   return *v;
 }
 
-// `src` is the scenario's shared (immutable) harvest source, or nullptr
-// for continuous bench power; the stateful capacitor is per cell, as is
-// the Device (seeded per cell so cells stay independent under any job
-// interleaving). `qms`/`inputs` hold the task's model variants keyed by
-// `compressed`; fixed runtimes use exactly one, the adaptive scheduler
-// gets both compiled co-resident and picks per boot.
+// One cell is one device running one inference: `image` is the task's
+// compiled image for this runtime (shared read-only across workers),
+// `src` the scenario's shared harvest source or nullptr for continuous
+// bench power. The device is seeded per cell so cells stay independent
+// under any job interleaving.
 ScenarioCell run_cell(const std::string& rt_key, models::Task task,
-                      const std::map<bool, quant::QuantModel>& qms,
-                      const std::map<bool, std::vector<fx::q15_t>>& inputs,
+                      const CompiledImage& image, const std::vector<fx::q15_t>& input,
                       const ScenarioSpec& sc, const power::HarvestSource* src,
-                      std::uint64_t scramble_seed,
-                      flex::PhaseProfile* profile, long trace_capacity) {
-  const RuntimeEntry& rk = runtime_entry(rt_key);
-  // Adaptive devices carry the dense twin too, so they get the enlarged
-  // baseline FRAM geometry.
-  dev::DeviceConfig dcfg =
-      models::deployment_device_config(rk.adaptive ? false : rk.compressed);
-  dcfg.scramble_seed = scramble_seed;
-  dev::Device dev(dcfg);
-
-  // Counts-only lifecycle trace on every cell (metrics block); ring
-  // capture when the sweep selected this cell index.
-  obs::EventTrace trace;
-  if (trace_capacity > 0) trace.set_capacity(static_cast<std::size_t>(trace_capacity));
-
-  power::ContinuousPower cont;
-  std::unique_ptr<power::CapacitorSupply> cap;
-  const bool continuous = src == nullptr;
-  if (continuous) {
-    dev.attach_supply(&cont);
-  } else {
-    power::CapacitorConfig ccfg;
-    ccfg.capacitance_f = sc.capacitance_f;
-    ccfg.max_off_s = sc.max_off_s;
-    cap = std::make_unique<power::CapacitorSupply>(*src, ccfg);
-    cap->set_trace(&trace);
-    dev.attach_supply(cap.get());
-  }
-
-  const auto cm = ace::compile(qms.at(rk.compressed), dev);
-  std::optional<ace::CompiledModel> cm_dense;
-  if (rk.adaptive) cm_dense = ace::compile(qms.at(false), dev, /*co_resident=*/true);
-
-  // Through the spec-aware factory, not rk.make_policy directly — tile's
-  // ":t=N" suffix must reach the policy.
-  auto policy = make_policy(rt_key);
-  const double worst_ck = sched::provision_deployment(
-      *policy, dev.cost(), cm, cm_dense.has_value() ? &*cm_dense : nullptr,
-      continuous ? std::numeric_limits<double>::infinity() : cap->burst_energy());
-  flex::RunOptions opts;
-  opts.profile = profile;
-  opts.trace = &trace;
-  opts.max_reboots = sc.max_reboots;
-  opts.max_futile_boots = sc.max_futile;
-  if (!continuous) {
-    opts.flex_v_warn = power::flex_warn_voltage(cap->config(), worst_ck);
-  }
+                      std::uint64_t scramble_seed, flex::PhaseProfile* profile,
+                      long trace_capacity) {
+  DeviceRecipe r;
+  r.runtime = rt_key;
+  r.source = src;
+  r.capacitor.capacitance_f = sc.capacitance_f;
+  r.capacitor.max_off_s = sc.max_off_s;
+  r.scramble_seed = scramble_seed;
+  r.opts.profile = profile;
+  r.opts.max_reboots = sc.max_reboots;
+  r.opts.max_futile_boots = sc.max_futile;
+  r.trace_capacity = trace_capacity;
+  const std::unique_ptr<ProvisionedDevice> d = provision(r, image);
   const flex::RunStats st =
-      flex::IntermittentExecutor(*policy).run(dev, cm, inputs.at(rk.compressed), opts);
+      flex::IntermittentExecutor(*d->policy).run(d->device, image.primary, input, d->opts);
+  const obs::EventTrace& trace = d->trace;
 
   ScenarioCell cell;
   cell.task = models::task_name(task);
@@ -263,12 +221,8 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   // Fail fast on bad inputs before hours of sweeping; sources are
   // immutable (power_at is const), so each scenario's is built once and
   // shared read-only by its cells across workers.
-  std::vector<bool> need_variant = {false, false};  // [compressed]
-  for (const auto& rt : runtimes) {
-    const RuntimeEntry& e = runtime_entry(rt);
-    need_variant[e.compressed] = true;
-    if (e.adaptive) need_variant[false] = need_variant[true] = true;
-  }
+  std::vector<ShippedVariants> shipped;
+  for (const auto& rt : runtimes) shipped.push_back(shipped_variants(rt));
   std::vector<std::unique_ptr<power::HarvestSource>> sources;
   for (const auto& sc : scenarios) {
     check(!sc.name.empty(), "scenario with empty name");
@@ -279,27 +233,39 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
   // Deployment + dense instances and inputs for every task, seeded
   // exactly like the paper benches so matrix cells are comparable to
   // fig7b rows. Only the variants the requested runtimes execute are
-  // built (the dense HAR/OKG twins are the expensive ones). Models and
-  // inputs are immutable during the sweep — workers share them.
-  std::vector<std::map<bool, quant::QuantModel>> qms(tasks.size());
+  // built (the dense HAR/OKG twins are the expensive ones), and each
+  // (task, variant set) compiles once, onto the deployment geometry
+  // (devices shipping the dense twin get the enlarged FRAM). Inputs and
+  // images are immutable during the sweep — workers share them.
+  using VariantSet = std::pair<bool, bool>;  // {primary compressed, dense twin}
   std::vector<std::map<bool, std::vector<fx::q15_t>>> inputs(tasks.size());
+  std::vector<std::map<VariantSet, CompiledImage>> images(tasks.size());
   for (std::size_t ti = 0; ti < tasks.size(); ++ti) {
     const models::Task task = tasks[ti];
     m.tasks.push_back(models::task_name(task));
+    std::map<bool, quant::QuantModel> qms;
     for (const bool compressed : {false, true}) {
-      if (!need_variant[compressed]) continue;
+      const auto ships = [&](const ShippedVariants& v) { return v.ships(compressed); };
+      if (std::none_of(shipped.begin(), shipped.end(), ships)) continue;
       Rng rng(opts.seed + static_cast<std::uint64_t>(task));
-      qms[ti][compressed] = models::make_deployed_qmodel(task, compressed, rng);
-      std::vector<fx::q15_t> input(qms[ti][compressed].layers.front().in_size());
+      qms[compressed] = models::make_deployed_qmodel(task, compressed, rng);
+      std::vector<fx::q15_t> input(qms[compressed].layers.front().in_size());
       for (auto& v : input) v = static_cast<fx::q15_t>(rng.next_u64());
       inputs[ti][compressed] = std::move(input);
+    }
+    for (const ShippedVariants& v : shipped) {
+      const VariantSet key{v.primary_compressed, v.dense_twin};
+      if (images[ti].count(key) != 0) continue;
+      images[ti].emplace(
+          key, compile_image(qms.at(v.primary_compressed),
+                             v.dense_twin ? &qms.at(false) : nullptr,
+                             models::deployment_device_config(!v.ships(false)).fram_words));
     }
   }
 
   // Flatten the sweep into an index space with the canonical cell order
-  // (task-major, then scenario, then runtime); workers claim cells from
-  // an atomic cursor and write results into their fixed slot, so the
-  // matrix is byte-identical for any job count.
+  // (task-major, then scenario, then runtime); workers write each result
+  // into its fixed slot, so the matrix is byte-identical for any job count.
   const std::size_t n_cells = tasks.size() * scenarios.size() * runtimes.size();
   for (const int id : opts.trace_cells) {
     check(id >= 0 && static_cast<std::size_t>(id) < n_cells,
@@ -307,49 +273,38 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
               " out of range [0, " + std::to_string(n_cells) + ")");
   }
   m.cells.resize(n_cells);
-  std::atomic<std::size_t> cursor{0};
   std::mutex log_mu;
-
-  auto worker = [&] {
-    for (std::size_t i = cursor.fetch_add(1); i < n_cells; i = cursor.fetch_add(1)) {
-      const std::size_t ri = i % runtimes.size();
-      const std::size_t si = (i / runtimes.size()) % scenarios.size();
-      const std::size_t ti = i / (runtimes.size() * scenarios.size());
-      const std::string& rt = runtimes[ri];
-      const ScenarioSpec& sc = scenarios[si];
-      // Per-cell derived scramble seed: cells are fully independent and
-      // reproducible in isolation. (Outputs and modeled costs are
-      // scramble-independent — the crash-consistency contract — so this
-      // cannot change the matrix.)
-      const std::uint64_t cell_seed =
-          opts.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
-      long trace_cap = 0;
-      for (const int id : opts.trace_cells) {
-        if (static_cast<std::size_t>(id) == i) trace_cap = std::max<long>(1, opts.trace_capacity);
+  parallel_for(n_cells, opts.jobs, [&](std::size_t i) {
+    const std::size_t ri = i % runtimes.size();
+    const std::size_t si = (i / runtimes.size()) % scenarios.size();
+    const std::size_t ti = i / (runtimes.size() * scenarios.size());
+    const std::string& rt = runtimes[ri];
+    const ShippedVariants& v = shipped[ri];
+    const ScenarioSpec& sc = scenarios[si];
+    // Per-cell derived scramble seed: cells are fully independent and
+    // reproducible in isolation. (Outputs and modeled costs are
+    // scramble-independent — the crash-consistency contract — so this
+    // cannot change the matrix.)
+    const std::uint64_t cell_seed =
+        opts.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(i) + 1);
+    long trace_cap = 0;
+    for (const int id : opts.trace_cells) {
+      if (static_cast<std::size_t>(id) == i) {
+        trace_cap = std::max<long>(1, opts.trace_capacity);
       }
-      ScenarioCell cell = run_cell(rt, tasks[ti], qms[ti], inputs[ti], sc,
-                                   sources[si].get(), cell_seed, opts.profile,
-                                   trace_cap);
-      if (opts.verbose) {
-        const std::lock_guard<std::mutex> lock(log_mu);
-        std::fprintf(stderr, "scenario %s/%s/%s: %s (on %.3fs, off %.3fs, %ld reboots)\n",
-                     cell.task.c_str(), sc.name.c_str(), rt.c_str(),
-                     flex::outcome_name(cell.outcome), cell.on_s, cell.off_s, cell.reboots);
-      }
-      m.cells[i] = std::move(cell);
     }
-  };
-
-  const int jobs = std::max(opts.jobs, 1);
-  if (jobs == 1 || n_cells <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    const std::size_t n_threads = std::min<std::size_t>(jobs, n_cells);
-    pool.reserve(n_threads);
-    for (std::size_t t = 0; t < n_threads; ++t) pool.emplace_back(worker);
-    for (auto& th : pool) th.join();
-  }
+    ScenarioCell cell =
+        run_cell(rt, tasks[ti], images[ti].at({v.primary_compressed, v.dense_twin}),
+                 inputs[ti].at(v.primary_compressed), sc, sources[si].get(), cell_seed,
+                 opts.profile, trace_cap);
+    if (opts.verbose) {
+      const std::lock_guard<std::mutex> lock(log_mu);
+      std::fprintf(stderr, "scenario %s/%s/%s: %s (on %.3fs, off %.3fs, %ld reboots)\n",
+                   cell.task.c_str(), sc.name.c_str(), rt.c_str(),
+                   flex::outcome_name(cell.outcome), cell.on_s, cell.off_s, cell.reboots);
+    }
+    m.cells[i] = std::move(cell);
+  });
 
   // Metrics and trace captures from the finished cell array, summed in
   // canonical cell order — deterministic for any worker count because the

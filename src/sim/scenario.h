@@ -131,10 +131,11 @@ bool runtime_is_adaptive(const std::string& key);
 
 // Runs every (runtime x task x scenario) combination, with
 // SweepOptions::jobs worker threads (cells are independent: shared state
-// is immutable models/inputs/sources). Cell order is deterministic and
-// job-count independent. Unknown runtime keys throw; a scenario whose
-// harvest spec fails to parse throws before any cell runs (fail fast,
-// not after an hour of sweeping).
+// is immutable models/inputs/sources and one compiled image per task and
+// variant set, which every cell's device is stamped from). Cell order is
+// deterministic and job-count independent. Unknown runtime keys throw; a
+// scenario whose harvest spec fails to parse throws before any cell runs
+// (fail fast, not after an hour of sweeping).
 ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
                           const std::vector<models::Task>& tasks,
                           const std::vector<ScenarioSpec>& scenarios,

@@ -1,8 +1,9 @@
-// Fleet engine (sim/fleet.h) and parallel sweep (SweepOptions::jobs):
-// the fleet runs heterogeneous groups of duty-cycled devices through the
-// incremental executor API, and every execution path — the next-event
-// engine, worker pools, process shards — must produce identical
-// artifacts.
+// Fleet engine (sim/fleet.h), parallel sweep (SweepOptions::jobs) and the
+// device recipe they share (sim/recipe.h): the fleet runs heterogeneous
+// groups of duty-cycled devices through the incremental executor API,
+// every execution path — the next-event engine, worker pools, process
+// shards — must produce identical artifacts, and a device stamped from a
+// compiled image must run exactly like one compiled in place.
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,14 @@
 #include <fstream>
 #include <sstream>
 
+#include "power/factory.h"
+#include "power/monitor.h"
+#include "sched/adaptive.h"
+#include "util/rng.h"
+
 #include "sim/fleet.h"
 #include "sim/fleet_flags.h"
+#include "sim/recipe.h"
 #include "sim/scenario.h"
 
 namespace ehdnn::sim {
@@ -36,7 +43,7 @@ FleetConfig tiny_fleet() {
 }
 
 TEST(Fleet, CompletesAndAggregates) {
-  const FleetReport r = run_fleet(tiny_fleet());
+  const FleetReport r = FleetEngine(tiny_fleet()).run();
   ASSERT_EQ(r.devices.size(), 6u);
   EXPECT_EQ(r.total_jobs, 6);
   EXPECT_EQ(r.jobs_completed, 6);
@@ -53,14 +60,14 @@ TEST(Fleet, CompletesAndAggregates) {
   EXPECT_GT(r.latency_p50_s, 0.0);
   for (const auto& d : r.devices) {
     EXPECT_EQ(d.jobs_completed, 1) << "device " << d.device;
-    // Round-robin actually interleaved: every run took many slices.
+    // Intermittent power sliced every run into many steps.
     EXPECT_GT(d.steps, 5) << "device " << d.device;
     EXPECT_GT(d.energy_j, 0.0);
   }
 }
 
 TEST(Fleet, OffsetsShiftTheHarvestPhase) {
-  const FleetReport r = run_fleet(tiny_fleet());
+  const FleetReport r = FleetEngine(tiny_fleet()).run();
   // Offsets are distinct by construction...
   for (std::size_t i = 1; i < r.devices.size(); ++i) {
     EXPECT_LT(r.devices[i - 1].offset_s, r.devices[i].offset_s);
@@ -83,10 +90,10 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   parallel.jobs = 3;
   FleetRunOptions tight_window;  // event engine forced to evict and re-admit
   tight_window.max_resident = 2;
-  const FleetReport a = run_fleet(tiny_fleet(), serial);
-  const FleetReport b = run_fleet(tiny_fleet(), parallel);
-  const FleetReport c = run_fleet(tiny_fleet(), serial);
-  const FleetReport d = run_fleet(tiny_fleet(), tight_window);
+  const FleetReport a = FleetEngine(tiny_fleet()).run(serial);
+  const FleetReport b = FleetEngine(tiny_fleet()).run(parallel);
+  const FleetReport c = FleetEngine(tiny_fleet()).run(serial);
+  const FleetReport d = FleetEngine(tiny_fleet()).run(tight_window);
   ASSERT_EQ(a.devices.size(), b.devices.size());
   std::ostringstream ja, jb, jc, jd;
   write_fleet_json(ja, a);
@@ -110,8 +117,8 @@ TEST(Fleet, EventEngineMatchesWorkerPool) {
     FleetRunOptions event_opts;
     FleetRunOptions pool_opts;
     pool_opts.jobs = 3;
-    const FleetReport ev = run_fleet(cfg, event_opts);
-    const FleetReport pool = run_fleet(cfg, pool_opts);
+    const FleetReport ev = FleetEngine(cfg).run(event_opts);
+    const FleetReport pool = FleetEngine(cfg).run(pool_opts);
     std::ostringstream jev, jpool;
     write_fleet_json(jev, ev);
     write_fleet_json(jpool, pool);
@@ -168,7 +175,7 @@ std::string run_as_shards(const FleetConfig& cfg, int shards) {
 TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   const FleetConfig cfg = tiny_fleet();
   std::ostringstream whole;
-  write_fleet_json(whole, run_fleet(cfg));
+  write_fleet_json(whole, FleetEngine(cfg).run());
   EXPECT_EQ(run_as_shards(cfg, 1), whole.str());
   EXPECT_EQ(run_as_shards(cfg, 3), whole.str())
       << "merged shards must be byte-identical to the unsharded artifact";
@@ -177,7 +184,7 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   FleetConfig agg_cfg = cfg;
   agg_cfg.per_device_detail = false;
   std::ostringstream agg_whole;
-  const FleetReport agg_report = run_fleet(agg_cfg);
+  const FleetReport agg_report = FleetEngine(agg_cfg).run();
   EXPECT_TRUE(agg_report.devices.empty());
   EXPECT_EQ(agg_report.total_jobs, 6);
   write_fleet_json(agg_whole, agg_report);
@@ -209,7 +216,7 @@ TEST(Fleet, DutyCycledAgendaReleasesOnSchedule) {
   cfg.groups[0].count = 2;
   cfg.groups[0].agenda.jobs = 3;
   cfg.groups[0].agenda.period_s = 0.5;  // generous: device idles between jobs
-  const FleetReport r = run_fleet(cfg);
+  const FleetReport r = FleetEngine(cfg).run();
   for (const auto& d : r.devices) {
     ASSERT_EQ(d.jobs.size(), 3u);
     for (int j = 0; j < 3; ++j) {
@@ -228,13 +235,13 @@ TEST(Fleet, DutyCycledAgendaReleasesOnSchedule) {
 TEST(Fleet, RejectsUnknownRuntime) {
   FleetConfig cfg = tiny_fleet();
   cfg.groups[0].agenda.runtime = "warp-drive";
-  EXPECT_THROW(run_fleet(cfg), Error);
+  EXPECT_THROW(FleetEngine(cfg).run(), Error);
 }
 
 TEST(Fleet, BaselinesRerunThePopulation) {
   FleetRunOptions ropts;
   ropts.baseline_runtimes = {"flex", "ace"};
-  const FleetReport r = run_fleet(tiny_fleet(), ropts);
+  const FleetReport r = FleetEngine(tiny_fleet()).run(ropts);
   ASSERT_EQ(r.baselines.size(), 2u);
   EXPECT_EQ(r.baselines[0].runtime, "flex");
   // The population already runs flex, so the flex baseline must agree.
@@ -272,7 +279,7 @@ TEST(FleetJson, V6AdmissionGolden) {
   // the admit-all comparison rerun.
   FleetRunOptions ropts;
   ropts.compare_admission = true;
-  const FleetReport r = run_fleet(admission_fleet(), ropts);
+  const FleetReport r = FleetEngine(admission_fleet()).run(ropts);
 
   EXPECT_GT(r.jobs_skipped, 0) << "fixture: admission must actually refuse releases";
   EXPECT_GT(r.energy_reclaimed_j, 0.0);
@@ -352,6 +359,94 @@ TEST(Sweep, RuntimeTableIsConsistent) {
   EXPECT_TRUE(runtime_is_adaptive("adaptive-deadline"));
   EXPECT_THROW(make_policy("nope"), Error);
   EXPECT_THROW(runtime_uses_compressed_model("nope"), Error);
+}
+
+void expect_same_layout(const dev::MemoryRegion& a, const dev::MemoryRegion& b) {
+  EXPECT_EQ(a.allocated_words(), b.allocated_words());
+  ASSERT_EQ(a.segments().size(), b.segments().size());
+  for (std::size_t i = 0; i < a.segments().size(); ++i) {
+    EXPECT_EQ(a.segments()[i].name, b.segments()[i].name);
+    EXPECT_EQ(a.segments()[i].base, b.segments()[i].base);
+    EXPECT_EQ(a.segments()[i].words, b.segments()[i].words);
+  }
+}
+
+// Every driver (fleet, scenario sweep, contract checker, benches) stamps
+// its devices from one shared CompiledImage instead of compiling onto
+// each device. The stamp must be indistinguishable from ace::compile run
+// in place: same FRAM words and allocator state, and a bit-identical run
+// on a capacitor — for a single compressed image and for the adaptive
+// scheduler's co-resident pair.
+TEST(Recipe, StampedImageMatchesInPlaceCompile) {
+  const auto src =
+      power::make_harvest_source("square:hi=4e-3,lo=0.2e-3,period=0.02,duty=0.5");
+  const std::pair<models::Task, const char*> cases[] = {{models::Task::kMnist, "flex"},
+                                                        {models::Task::kHar, "adaptive"}};
+  for (const auto& [task, runtime] : cases) {
+    SCOPED_TRACE(runtime);
+    const ShippedVariants v = shipped_variants(runtime);
+    Rng rng(0xb0a710ad + static_cast<std::uint64_t>(task));
+    const quant::QuantModel primary = models::make_deployed_qmodel(task, true, rng);
+    std::vector<fx::q15_t> input(primary.layers.front().in_size());
+    for (auto& x : input) x = static_cast<fx::q15_t>(rng.next_u64());
+    std::optional<quant::QuantModel> dense;
+    if (v.dense_twin) {
+      Rng dense_rng(0xb0a710ad + static_cast<std::uint64_t>(task));
+      dense = models::make_deployed_qmodel(task, false, dense_rng);
+    }
+    const quant::QuantModel* dense_qm = dense ? &*dense : nullptr;
+    const std::size_t fram = fit_fram_words(primary, dense_qm);
+
+    DeviceRecipe r;
+    r.runtime = runtime;
+    r.source = src.get();
+    r.offset_s = 0.004;
+    r.capacitor.capacitance_f = 10e-6;
+    r.capacitor.max_off_s = 30.0;
+    r.scramble_seed = 0x5ca7;
+    const CompiledImage image = compile_image(primary, dense_qm, fram);
+    const auto stamped = provision(r, image);
+
+    // The same device, compiled in place.
+    const power::TimeOffsetSource view(*src, r.offset_s);
+    power::CapacitorSupply cap(view, r.capacitor);
+    dev::DeviceConfig dcfg;
+    dcfg.fram_words = fram;
+    dcfg.scramble_seed = r.scramble_seed;
+    dev::Device dev(dcfg);
+    dev.attach_supply(&cap);
+    const ace::CompiledModel cm = ace::compile(primary, dev);
+    std::optional<ace::CompiledModel> cm_dense;
+    if (dense_qm != nullptr) cm_dense = ace::compile(*dense_qm, dev, /*co_resident=*/true);
+    const auto policy = make_policy(runtime);
+    flex::RunOptions opts;
+    opts.flex_v_warn = power::flex_warn_voltage(
+        cap.config(), sched::provision_deployment(*policy, dev.cost(), cm,
+                                                  cm_dense ? &*cm_dense : nullptr,
+                                                  cap.burst_energy()));
+
+    const dev::MemoryRegion& a = stamped->device.fram();
+    const dev::MemoryRegion& b = dev.fram();
+    ASSERT_EQ(a.size_words(), b.size_words());
+    const auto wa = a.view(0, a.size_words());
+    const auto wb = b.view(0, b.size_words());
+    EXPECT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin())) << "FRAM words differ";
+    expect_same_layout(a, b);
+    expect_same_layout(stamped->device.sram(), dev.sram());
+    EXPECT_EQ(stamped->opts.flex_v_warn, opts.flex_v_warn);
+
+    const flex::RunStats s1 = flex::IntermittentExecutor(*stamped->policy)
+                                  .run(stamped->device, image.primary, input, stamped->opts);
+    const flex::RunStats s2 = flex::IntermittentExecutor(*policy).run(dev, cm, input, opts);
+    ASSERT_TRUE(s1.completed());
+    EXPECT_GT(s1.reboots, 0) << "fixture: the capacitor must actually cycle";
+    EXPECT_EQ(s1.outcome, s2.outcome);
+    EXPECT_EQ(s1.on_seconds, s2.on_seconds);
+    EXPECT_EQ(s1.off_seconds, s2.off_seconds);
+    EXPECT_EQ(s1.energy_j, s2.energy_j);
+    EXPECT_EQ(s1.reboots, s2.reboots);
+    EXPECT_EQ(s1.output, s2.output);
+  }
 }
 
 TEST(FleetFlags, ConflictMatrix) {

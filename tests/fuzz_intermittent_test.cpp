@@ -23,7 +23,7 @@
 #include "power/failure_schedule.h"
 #include "quant/quantize.h"
 #include "sched/adaptive.h"
-#include "sim/scenario.h"
+#include "sim/recipe.h"
 #include "util/rng.h"
 
 namespace ehdnn::flex {
@@ -127,12 +127,10 @@ constexpr FuzzCase kCases[] = {
     {"tile", false, 60, 0x63000, 2.45, nullptr, true},
 };
 
-// Builds the case's runtime/policy honoring an adaptive spec override.
+// The case's policy, built the way every provisioned device builds its
+// own (the runtime key, or the adaptive spec override when given).
 std::unique_ptr<RuntimePolicy> make_case_policy(const FuzzCase& fc) {
-  if (fc.sched_spec != nullptr) {
-    return sched::make_adaptive_policy(sched::parse_adaptive_spec(fc.sched_spec));
-  }
-  return sim::make_policy(fc.runtime);
+  return sim::make_deployment_policy(fc.runtime, fc.sched_spec ? fc.sched_spec : "");
 }
 
 TEST(FuzzIntermittent, CoversAtLeastFifteenHundredSchedules) {

@@ -327,8 +327,8 @@ TEST(FleetObs, TracesAndMetricsAreWorkerCountInvariant) {
   serial.trace_devices = {4, 0};  // unsorted on purpose
   sim::FleetRunOptions pool = serial;
   pool.jobs = 3;
-  const sim::FleetReport a = sim::run_fleet(obs_fleet(), serial);
-  const sim::FleetReport b = sim::run_fleet(obs_fleet(), pool);
+  const sim::FleetReport a = sim::FleetEngine(obs_fleet()).run(serial);
+  const sim::FleetReport b = sim::FleetEngine(obs_fleet()).run(pool);
 
   // Captures come back sorted by device id regardless of completion order.
   ASSERT_EQ(a.traces.size(), 2u);
@@ -361,7 +361,7 @@ TEST(FleetObs, TracesAndMetricsAreWorkerCountInvariant) {
 TEST(FleetObs, UntracedFleetStillFeedsMetrics) {
   // No trace_devices: every device still runs a counts-only trace, so the
   // metrics block is populated while r.traces stays empty.
-  const sim::FleetReport r = sim::run_fleet(obs_fleet());
+  const sim::FleetReport r = sim::FleetEngine(obs_fleet()).run();
   EXPECT_TRUE(r.traces.empty());
   EXPECT_GT(r.metrics.counters().at("event.boot"), 0);
   std::ostringstream os;
@@ -375,19 +375,19 @@ TEST(FleetObs, ProfileUnderWorkerPoolThrowsInsteadOfSilentlyIgnoring) {
   sim::FleetRunOptions ropts;
   ropts.profile = &prof;
   ropts.jobs = 2;
-  EXPECT_THROW(sim::run_fleet(obs_fleet(), ropts), Error);
+  EXPECT_THROW(sim::FleetEngine(obs_fleet()).run(ropts), Error);
   ropts.jobs = 1;  // the supported combination still works
-  const sim::FleetReport r = sim::run_fleet(obs_fleet(), ropts);
+  const sim::FleetReport r = sim::FleetEngine(obs_fleet()).run(ropts);
   EXPECT_EQ(r.devices.size(), 6u);
 }
 
 TEST(FleetObs, TraceSelectionValidatesDeviceIds) {
   sim::FleetRunOptions ropts;
   ropts.trace_devices = {6};  // one past the end of the 6-device fleet
-  EXPECT_THROW(sim::run_fleet(obs_fleet(), ropts), Error);
+  EXPECT_THROW(sim::FleetEngine(obs_fleet()).run(ropts), Error);
   ropts.trace_devices = {0};
   ropts.trace_capacity = 0;
-  EXPECT_THROW(sim::run_fleet(obs_fleet(), ropts), Error);
+  EXPECT_THROW(sim::FleetEngine(obs_fleet()).run(ropts), Error);
 }
 
 TEST(SweepObs, ScenariosV3CarriesMetricsAndCellTraces) {

@@ -68,10 +68,10 @@ TEST(AdmissionProperty, NeverLowersInDeadlineVsAdmitAllOnSameSeed) {
   int total_skips = 0;
   for (const std::uint64_t seed : {11u, 23u, 37u, 51u, 68u, 94u}) {
     const sim::FleetConfig cfg = random_admission_fleet(seed);
-    const sim::FleetReport with_admission = sim::run_fleet(cfg);
+    const sim::FleetReport with_admission = sim::FleetEngine(cfg).run();
     sim::FleetRunOptions all;
     all.force_admit_all = true;
-    const sim::FleetReport admit_all = sim::run_fleet(cfg, all);
+    const sim::FleetReport admit_all = sim::FleetEngine(cfg).run(all);
 
     EXPECT_GE(with_admission.jobs_in_deadline, admit_all.jobs_in_deadline)
         << "seed " << seed << " (" << cfg.source << "): admission lowered the "
@@ -89,7 +89,7 @@ TEST(AdmissionProperty, NeverLowersInDeadlineVsAdmitAllOnSameSeed) {
 
 TEST(AdmissionProperty, SkippedReleasesNeverBootAndReclaimEnergy) {
   const sim::FleetConfig cfg = random_admission_fleet(23u);
-  const sim::FleetReport r = sim::run_fleet(cfg);
+  const sim::FleetReport r = sim::FleetEngine(cfg).run();
   ASSERT_GT(r.jobs_skipped, 0) << "fixture: this seed must produce skips";
   for (const auto& d : r.devices) {
     for (const auto& j : d.jobs) {

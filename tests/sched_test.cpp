@@ -549,7 +549,7 @@ TEST(FleetJson, V6SchemaGolden) {
   cfg.groups.push_back(g);
   sim::FleetRunOptions ropts;
   ropts.baseline_runtimes = {"ace"};
-  const sim::FleetReport r = sim::run_fleet(cfg, ropts);
+  const sim::FleetReport r = sim::FleetEngine(cfg).run(ropts);
 
   std::ostringstream os;
   sim::write_fleet_json(os, r);

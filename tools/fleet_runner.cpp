@@ -250,7 +250,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const sim::FleetReport r = sim::run_fleet(cfg, ropts);
+    const sim::FleetReport r = sim::FleetEngine(cfg).run(ropts);
 
     std::ofstream f(out_path);
     check(f.good(), "cannot write " + out_path);
