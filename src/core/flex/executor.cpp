@@ -1,16 +1,8 @@
 #include "core/flex/executor.h"
 
 #include <chrono>
-#include <limits>
 
 namespace ehdnn::flex {
-
-double IntermittentExecutor::next_actionable_s() const {
-  if (done_ || dev_ == nullptr || dev_->supply() == nullptr) {
-    return std::numeric_limits<double>::infinity();
-  }
-  return dev_->supply()->now();
-}
 
 void IntermittentExecutor::start(dev::Device& dev, const ace::CompiledModel& cm,
                                  std::span<const fx::q15_t> input, const RunOptions& opts) {

@@ -125,13 +125,6 @@ class IntermittentExecutor {
   // True once the run has ended — completed, DNF, or starved.
   bool finished() const { return done_; }
 
-  // Next instant (supply time) at which step() can make progress: a live
-  // run is always immediately actionable, so this is the supply's current
-  // time; +infinity when no run is armed or the run has finished. The
-  // fleet's next-event engine keys its queue on this through
-  // sched::JobQueue::next_time_s().
-  double next_actionable_s() const;
-
   // The run's stats; fully populated (trace deltas, output) only once
   // finished() is true.
   const RunStats& stats() const { return st_; }

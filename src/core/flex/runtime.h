@@ -95,7 +95,7 @@ struct RunStats {
 //   kernel_s     — the rest of policy slices: layer kernels, staging,
 //                  prepaid settlement;
 //   build_s      — device construction + image stamping (drivers);
-//   engine_s     — driver bookkeeping (event heap, sinks, reporting),
+//   engine_s     — caller bookkeeping (device loop, sinks, reporting),
 //                  computed by the driver as total minus the above.
 // Null RunOptions::profile (the default) keeps every instrumentation
 // site down to one predicted branch.

@@ -9,7 +9,7 @@
 
 namespace ehdnn::dev {
 
-Device::Device(DeviceConfig cfg, DeviceSlabs* slabs)
+Device::Device(DeviceConfig cfg)
     : cfg_(cfg),
       c_sram_rd_(fixed_cost(cfg.cost.cycles_sram_word, cfg.cost.e_sram_read,
                             cfg.cost.p_cpu_active)),
@@ -20,12 +20,8 @@ Device::Device(DeviceConfig cfg, DeviceSlabs* slabs)
       c_fram_wr_(fixed_cost(cfg.cost.cycles_fram_word, cfg.cost.e_fram_write,
                             cfg.cost.p_cpu_active)),
       c_cpu_mac_(fixed_cost(cfg.cost.cycles_cpu_mac, 0.0, cfg.cost.p_cpu_active)),
-      sram_(slabs != nullptr
-                ? MemoryRegion(MemKind::kSram, cfg.sram_words, std::move(slabs->sram))
-                : MemoryRegion(MemKind::kSram, cfg.sram_words)),
-      fram_(slabs != nullptr
-                ? MemoryRegion(MemKind::kFram, cfg.fram_words, std::move(slabs->fram))
-                : MemoryRegion(MemKind::kFram, cfg.fram_words)),
+      sram_(MemKind::kSram, cfg.sram_words),
+      fram_(MemKind::kFram, cfg.fram_words),
       scramble_rng_(cfg.scramble_seed) {}
 
 // The inline fast path in device.h already buffered the draw when the

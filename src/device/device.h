@@ -36,25 +36,9 @@ struct DeviceConfig {
   std::uint64_t scramble_seed = 0xdeadbeef;
 };
 
-// Recycled backing storage for a device's memory regions. A retired
-// device donates its word buffers via release_slabs(); constructing the
-// next device from them (fleet arena) skips the two dominant per-device
-// heap allocations. Semantically inert: a slab-built device is
-// indistinguishable from a freshly allocated one.
-struct DeviceSlabs {
-  std::vector<fx::q15_t> sram, fram;
-};
-
 class Device {
  public:
-  explicit Device(DeviceConfig cfg = {}, DeviceSlabs* slabs = nullptr);
-
-  // Donate the memory regions' backing storage into `out` for reuse by a
-  // future Device. The device must not be used afterwards.
-  void release_slabs(DeviceSlabs& out) {
-    out.sram = sram_.take_storage();
-    out.fram = fram_.take_storage();
-  }
+  explicit Device(DeviceConfig cfg = {});
 
   // Attach the supply (non-owning). Without one the device is on bench
   // power: nothing ever fails.

@@ -34,25 +34,6 @@ class MemoryRegion {
   MemoryRegion(MemKind kind, std::size_t words)
       : kind_(kind), words_(words, 0) {}
 
-  // Arena construction: adopt `storage` as the backing buffer (its
-  // capacity is reused; contents are reset to the `words` zeros a fresh
-  // region holds). The fleet engine's slab arena hands retired devices'
-  // buffers to newly admitted ones this way, so a bounded resident
-  // window allocates its big word arrays once instead of per device.
-  MemoryRegion(MemKind kind, std::size_t words, std::vector<fx::q15_t> storage)
-      : kind_(kind), words_(std::move(storage)) {
-    words_.assign(words, 0);
-  }
-
-  // Arena hand-off: steal the backing storage for recycling. The region
-  // is left empty and must not be used afterwards (its owner is being
-  // torn down).
-  std::vector<fx::q15_t> take_storage() {
-    brk_ = 0;
-    segments_.clear();
-    return std::move(words_);
-  }
-
   MemKind kind() const { return kind_; }
   bool is_volatile() const { return kind_ == MemKind::kSram; }
   std::size_t size_words() const { return words_.size(); }

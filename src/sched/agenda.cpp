@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 
 #include "sched/adaptive.h"
@@ -31,8 +29,7 @@ JobQueue::JobQueue(dev::Device& dev, flex::RuntimePolicy& policy,
   if (const AdaptivePolicy* ap = as_adaptive(policy_)) last_switches_ = ap->tier_switches();
   // The queue starts parked on job 0's release (t=0): arming — the park,
   // the admission decision, the executor start — happens in the first
-  // step(), not here, so a fleet engine can hold thousands of queues and
-  // only pay for the ones whose release instant has arrived.
+  // step(), not here, so every park costs exactly one counted step.
 }
 
 bool JobQueue::should_skip(double* reclaimed_j, int* stage) {
@@ -64,11 +61,6 @@ bool JobQueue::should_skip(double* reclaimed_j, int* stage) {
   if (ap->forecaster().period_s() <= 0.0) return false;
   if (consecutive_skips_ >= ap->spec().probe_skips) return false;
   const double predicted = ap->predict_best_completion_s(*dev_, *primary_);
-  if (std::getenv("EHDNN_ADMIT_DEBUG") != nullptr) {
-    std::fprintf(stderr, "admit? rel %.3f start %.3f pred %.4f fcast %.5g period %.4g\n",
-                 release_s_, start_s_, predicted, ap->forecaster().forecast_w(),
-                 ap->forecaster().period_s());
-  }
   if (predicted <= budget_s) return false;
   *reclaimed_j = ap->reclaimable_energy_j();
   *stage = 2;
@@ -145,16 +137,6 @@ void JobQueue::record_finished() {
     r.runtime = agenda_.runtime;
   }
   records_.push_back(std::move(r));
-}
-
-double JobQueue::next_time_s() const {
-  if (done_) return std::numeric_limits<double>::infinity();
-  if (parked_) {
-    const double release =
-        static_cast<double>(records_.size()) * agenda_.period_s;
-    return std::max(release, dev_->supply()->now());
-  }
-  return ex_.next_actionable_s();
 }
 
 bool JobQueue::step() {

@@ -94,14 +94,6 @@ class JobQueue {
 
   bool finished() const { return done_; }
 
-  // The next instant (supply time) at which step() will do real work:
-  // the pending release while parked (or the supply's current time if the
-  // release is already past), the live run's next actionable instant
-  // otherwise, +infinity once the agenda is done. The fleet's next-event
-  // engine keys its priority queue on this, which is what lets parked
-  // devices cost zero slices.
-  double next_time_s() const;
-
   const std::vector<JobRecord>& records() const { return records_; }
   long steps() const { return steps_; }
 

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <queue>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -72,11 +71,27 @@ void validate(const FleetConfig& cfg) {
   }
 }
 
+// Device id -> group index: groups own consecutive id ranges in config
+// order.
+std::vector<std::size_t> device_groups(const FleetConfig& cfg) {
+  std::vector<std::size_t> out;
+  out.reserve(static_cast<std::size_t>(cfg.total_devices()));
+  for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
+    for (int k = 0; k < cfg.groups[gi].count; ++k) out.push_back(gi);
+  }
+  return out;
+}
+
+// Device d's shift into the harvest recording, of a population of n.
+double device_offset_s(const FleetConfig& cfg, int d, int n) {
+  return cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(n);
+}
+
 // Population-wide immutable state shared by every device build: the base
 // harvest source, each group's compiled image, and the device-id -> group
-// mapping. Building a device needs nothing else, which is what lets the
-// event engine construct devices lazily (and worker processes construct
-// only their shard).
+// mapping. Building a device needs nothing else, which is what lets each
+// loop item build its device alone (and worker processes build only their
+// shard).
 struct FleetWorld {
   std::unique_ptr<power::HarvestSource> base_source;
   std::vector<CompiledImage> group_image;
@@ -114,20 +129,15 @@ FleetWorld build_world(const FleetConfig& cfg) {
         primary, dense, g.fram_words != 0 ? g.fram_words : fit_fram_words(primary, dense)));
   }
 
-  w.device_group.reserve(static_cast<std::size_t>(w.n));
-  for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
-    for (int k = 0; k < cfg.groups[gi].count; ++k) w.device_group.push_back(gi);
-  }
+  w.device_group = device_groups(cfg);
   return w;
 }
 
 // Builds device `d` of the population. Depends only on (cfg, world, d),
-// never on which devices exist around it — the property every execution
-// path (event queue, worker pool, shard) relies on for determinism.
-// `profile` is the run's phase sink when this path is profiled, else null.
+// never on which devices exist around it or which thread builds it — the
+// property every run (any --jobs, any shard) relies on for determinism.
 std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig& cfg, int d,
-                                         const FleetRunOptions& opts, dev::DeviceSlabs* slabs,
-                                         flex::PhaseProfile* profile) {
+                                         const FleetRunOptions& opts) {
   const std::size_t gi = w.device_group[static_cast<std::size_t>(d)];
   const FleetGroup& g = cfg.groups[gi];
   const CompiledImage& image = w.group_image[gi];
@@ -137,13 +147,13 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   r.sched_spec = g.sched_spec;
   r.force_admit_all = opts.force_admit_all;
   r.source = w.base_source.get();
-  r.offset_s = cfg.offset_spread_s * static_cast<double>(d) / static_cast<double>(w.n);
+  r.offset_s = device_offset_s(cfg, d, w.n);
   r.capacitor.capacitance_f = g.capacitance_f;
   r.capacitor.max_off_s = g.max_off_s;
   r.scramble_seed = cfg.seed + 0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(d) + 1);
   r.opts.max_reboots = g.max_reboots;
   r.opts.max_futile_boots = g.max_futile;
-  r.opts.profile = profile;
+  r.opts.profile = opts.profile;
   // Ring capture only for the ids in trace_devices (the counts-only
   // trace is unconditional).
   for (const int id : opts.trace_devices) {
@@ -151,7 +161,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   }
 
   auto fd = std::make_unique<FleetDevice>();
-  fd->dev = provision(r, image, slabs);
+  fd->dev = provision(r, image);
   const std::size_t in_size = image.primary.model.layers.front().in_size();
   fd->inputs.resize(static_cast<std::size_t>(g.agenda.jobs));
   for (int j = 0; j < g.agenda.jobs; ++j) {
@@ -176,7 +186,7 @@ FleetDeviceResult distill(const FleetWorld& w, const FleetConfig& cfg, int d,
   FleetDeviceResult res;
   res.device = d;
   res.group = g.name;
-  res.offset_s = fd.dev->source->offset();
+  res.offset_s = device_offset_s(cfg, d, w.n);
   res.task = models::task_name(g.task);
   res.runtime = g.agenda.runtime;
   res.capacitance_f = g.capacitance_f;
@@ -335,7 +345,7 @@ class DetailSink final : public FleetSink {
 // and shard merges alike. Rows arrive sorted by device id; integer
 // counters and double sums accumulate in that order, percentiles come
 // from the sketches. This shared funnel is why `--jobs 8`, `--shards 4`
-// and the serial event queue cannot disagree on a single byte.
+// and `--jobs 1` cannot disagree on a single byte.
 FleetReport finalize_report(const FleetConfig& cfg, AggregateSink& agg,
                             DetailSink* detail) {
   FleetReport r;
@@ -400,97 +410,33 @@ void print_verbose(const FleetDeviceResult& res) {
 }
 
 // Drives devices [begin, end) to completion and feeds each result to the
-// sinks. Two execution paths, one result:
-//   - serial (jobs == 1): the next-event engine — a min-heap keyed on
-//     JobQueue::next_time_s() with a bounded resident window, devices
-//     built on admission and destroyed on completion;
-//   - parallel (jobs > 1): parallel_for workers claim whole devices and
-//     build-run-destroy each (already O(workers) resident).
+// sinks. One loop for every run: parallel_for claims whole devices (inline
+// and in id order when jobs == 1), and each item builds its device, steps
+// its agenda to the end, distills the result and destroys the device, so
+// at most min(jobs, max_resident) devices are built at once. A parked
+// device costs one step (the closed-form idle to its next release).
 void run_range(const FleetWorld& w, const FleetConfig& cfg, int begin, int end,
                const FleetRunOptions& opts, const std::vector<FleetSink*>& sinks) {
-  auto deliver = [&](const FleetDeviceResult& res) {
+  std::mutex mu;
+  const int workers = std::min(std::max(opts.jobs, 1), std::max(opts.max_resident, 1));
+  parallel_for(static_cast<std::size_t>(end - begin), workers, [&](std::size_t k) {
+    const int d = begin + static_cast<int>(k);
+    const auto t0 = std::chrono::steady_clock::now();
+    auto fd = make_device(w, cfg, d, opts);
+    // --profile (serial runs only, see validate_run_options): device
+    // construction is build time; the executor attributes its own slices.
+    if (opts.profile != nullptr) {
+      opts.profile->build_s +=
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+    }
+    while (fd->queue->step()) {
+    }
+    const FleetDeviceResult res = distill(w, cfg, d, *fd);
+    fd.reset();
+    std::lock_guard<std::mutex> lk(mu);
     for (FleetSink* s : sinks) s->record(res);
     if (opts.verbose) print_verbose(res);
-  };
-
-  const int run_jobs = std::max(opts.jobs, 1);
-  // Wall-clock phase attribution (--profile): only the serial paths are
-  // wired (one shared, unsynchronized sink). Device construction is timed
-  // into build_s here; the executor attributes its own slices.
-  flex::PhaseProfile* const prof = run_jobs == 1 || end - begin <= 1 ? opts.profile : nullptr;
-  auto timed_build = [&](int d, dev::DeviceSlabs* slabs) {
-    if (prof == nullptr) return make_device(w, cfg, d, opts, slabs, nullptr);
-    const auto t0 = std::chrono::steady_clock::now();
-    auto fd = make_device(w, cfg, d, opts, slabs, prof);
-    prof->build_s +=
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-    return fd;
-  };
-  if (run_jobs == 1 || end - begin <= 1) {
-    // Next-event engine. The heap orders (next actionable instant,
-    // device id): parked devices sink until their release arrives, live
-    // devices interleave in global virtual time, and ties break by id —
-    // fully deterministic. Correctness does not depend on the ordering
-    // at all (devices are independent); the keys exist so a device
-    // sleeping through a 2 s duty-cycle park costs one heap pop instead
-    // of thousands of no-op slices.
-    using Entry = std::pair<double, int>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
-    std::vector<std::unique_ptr<FleetDevice>> live(static_cast<std::size_t>(end - begin));
-    const int window = std::max(1, opts.max_resident);
-    int next_build = begin;
-    int resident = 0;
-    // Slab arena: retired devices donate their SRAM/FRAM word buffers,
-    // newly admitted ones are built from them, so the steady state
-    // allocates the two big per-device arrays once per window slot
-    // instead of once per device. (Groups can differ in FRAM size; the
-    // adopting region resizes, which still reuses capacity when the next
-    // group's image is no larger.)
-    std::vector<dev::DeviceSlabs> arena;
-    arena.reserve(static_cast<std::size_t>(window));
-    auto admit = [&] {
-      while (resident < window && next_build < end) {
-        auto& slot = live[static_cast<std::size_t>(next_build - begin)];
-        dev::DeviceSlabs* slabs = arena.empty() ? nullptr : &arena.back();
-        slot = timed_build(next_build, slabs);
-        if (slabs != nullptr) arena.pop_back();
-        heap.emplace(slot->queue->next_time_s(), next_build);
-        ++resident;
-        ++next_build;
-      }
-    };
-    admit();
-    while (!heap.empty()) {
-      const int d = heap.top().second;
-      heap.pop();
-      auto& slot = live[static_cast<std::size_t>(d - begin)];
-      slot->queue->step();
-      if (slot->queue->finished()) {
-        deliver(distill(w, cfg, d, *slot));
-        if (next_build < end) {
-          arena.emplace_back();
-          slot->dev->device.release_slabs(arena.back());
-        }
-        slot.reset();  // free the window slot before admitting the next id
-        --resident;
-        admit();
-      } else {
-        heap.emplace(slot->queue->next_time_s(), d);
-      }
-    }
-  } else {
-    std::mutex mu;
-    parallel_for(static_cast<std::size_t>(end - begin), run_jobs, [&](std::size_t k) {
-      const int d = begin + static_cast<int>(k);
-      auto fd = make_device(w, cfg, d, opts, nullptr, nullptr);
-      while (fd->queue->step()) {
-      }
-      const FleetDeviceResult res = distill(w, cfg, d, *fd);
-      fd.reset();
-      std::lock_guard<std::mutex> lk(mu);
-      deliver(res);
-    });
-  }
+  });
 }
 
 flex::Outcome parse_outcome(const std::string& name) {
@@ -568,15 +514,25 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       check(!ls.fail(), where + ": bad row \"" + line + "\"");
       r.energy_j = shard_num(energy, where);
       r.energy_reclaimed_j = shard_num(reclaimed, where);
+      // run_shard writes rows sorted: a repeated, unordered or foreign id
+      // would double-count one device and drop another.
+      check(r.device >= p.begin && r.device < p.end &&
+                (p.agg.rows.empty() || r.device > p.agg.rows.back().device),
+            where + ": row for device " + std::to_string(r.device) +
+                " is out of order or outside the shard's range");
       p.agg.rows.push_back(r);
     } else if (tag == "trace") {
       obs::TraceCapture cap;
       std::size_t n_events = 0;
       ls >> cap.id >> n_events >> cap.dropped >> cap.total;
       check(!ls.fail(), where + ": bad trace header \"" + line + "\"");
+      check(cap.id >= p.begin && cap.id < p.end &&
+                (p.agg.traces.empty() || cap.id > p.agg.traces.back().id),
+            where + ": trace for device " + std::to_string(cap.id) +
+                " is out of order or outside the shard's range");
       std::getline(ls, cap.label);
       if (!cap.label.empty() && cap.label.front() == ' ') cap.label.erase(0, 1);
-      cap.events.reserve(n_events);
+      // n_events is untrusted: the ev lines, not the header, size the ring.
       for (std::size_t i = 0; i < n_events; ++i) {
         check(static_cast<bool>(std::getline(is, line)), where + ": truncated trace");
         std::istringstream es(line);
@@ -601,6 +557,10 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
           outcome >> met >> lock >> skip >> j.runtime >> j.reboots >> j.checkpoints >>
           j.progress_commits >> j.tier_switches >> energy >> reclaimed;
       check(!ls.fail(), where + ": bad job line \"" + line + "\"");
+      // Jobs arrive grouped by device in id order, like rows; a device
+      // seen again later would lose its first records at merge.
+      check(p.detail.devices.empty() || device >= p.detail.devices.back().device,
+            where + ": job for device " + std::to_string(device) + " is out of order");
       j.release_s = shard_num(release, where);
       j.start_s = shard_num(start, where);
       j.finish_s = shard_num(finish, where);
@@ -623,6 +583,14 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
     }
   }
   check(saw_end, where + ": truncated partial (no end marker)");
+  // Every job belongs to a device this shard reported a row for (so it
+  // lies in the shard's range).
+  for (const FleetDeviceResult& d : p.detail.devices) {
+    const auto it = std::lower_bound(p.agg.rows.begin(), p.agg.rows.end(), d.device,
+                                     [](const DeviceRow& r, int id) { return r.device < id; });
+    check(it != p.agg.rows.end() && it->device == d.device,
+          where + ": job records for device " + std::to_string(d.device) + " without a row");
+  }
   return p;
 }
 
@@ -813,7 +781,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
   FleetReport r = finalize_report(cfg_, agg, cfg_.per_device_detail ? &detail : nullptr);
   if (ropts.profile != nullptr) {
     // Whatever the attributed phases did not claim is engine overhead:
-    // the event heap, sinks, reporting, and instrumentation slack.
+    // the device loop, sinks, reporting, and instrumentation slack.
     flex::PhaseProfile& p = *ropts.profile;
     const double total =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0).count();
@@ -975,18 +943,13 @@ FleetReport merge_fleet_shards(const std::vector<std::string>& paths) {
     std::map<int, std::vector<sched::JobRecord>> jobs_by_device;
     for (auto& d : detail.devices) jobs_by_device[d.device] = std::move(d.jobs);
     detail.devices.clear();
-    std::vector<std::size_t> device_group;
-    device_group.reserve(static_cast<std::size_t>(n));
-    for (std::size_t gi = 0; gi < cfg.groups.size(); ++gi) {
-      for (int k = 0; k < cfg.groups[gi].count; ++k) device_group.push_back(gi);
-    }
+    const std::vector<std::size_t> device_group = device_groups(cfg);
     for (const DeviceRow& row : agg.rows) {
       const FleetGroup& g = cfg.groups[device_group[static_cast<std::size_t>(row.device)]];
       FleetDeviceResult res;
       res.device = row.device;
       res.group = g.name;
-      res.offset_s =
-          cfg.offset_spread_s * static_cast<double>(row.device) / static_cast<double>(n);
+      res.offset_s = device_offset_s(cfg, row.device, n);
       res.task = models::task_name(g.task);
       res.runtime = g.agenda.runtime;
       res.capacitance_f = g.capacitance_f;

@@ -12,22 +12,20 @@
 // parsed from a fleet config file (see parse_fleet_config), so new
 // populations are new configs, no code.
 //
-// Execution is event-driven: FleetEngine keeps a priority queue keyed on
-// each device's next actionable instant (sched::JobQueue::next_time_s —
-// the pending agenda release while parked, the supply's clock while a run
-// is live), so parked devices cost zero slices and only a bounded window
-// of devices is resident at once — devices are built lazily when the
-// window admits them and destroyed the moment their agenda completes,
-// which is what makes 10^5-device populations fit in memory. Per-device
-// results stream into FleetSink implementations (record/merge/finalize);
-// the built-in aggregation sink folds completed-job latencies into
-// mergeable quantile sketches (util/qsketch.h) instead of materializing
-// per-job arrays.
+// Execution is one loop over device ids (util/parallel.h parallel_for):
+// each item builds its device, steps its agenda to completion, distills
+// the result and destroys the device, so only one device per worker is
+// resident at once — which is what makes 10^5-device populations fit in
+// memory. A parked device costs one step: the capacitor idles to the next
+// release in closed form. Per-device results stream into FleetSink
+// implementations (record/merge/finalize); the built-in aggregation sink
+// folds completed-job latencies into mergeable quantile sketches
+// (util/qsketch.h) instead of materializing per-job arrays.
 //
 // Devices are fully independent, so the report — and the bytes of
 // FLEET.json, schema ehdnn-fleet-v6 — is identical whether the population
-// ran on the event queue, a worker pool (FleetRunOptions::jobs), or
-// split across processes as shards (run_shard + merge_fleet_shards):
+// ran on one thread, a worker pool (FleetRunOptions::jobs), or split
+// across processes as shards (run_shard + merge_fleet_shards):
 // every aggregation path sorts by device id and sums in id order, and
 // sketch merges are bin-wise integer adds, so no floating-point result
 // depends on completion order.
@@ -113,12 +111,13 @@ void write_fleet_config(std::ostream& os, const FleetConfig& cfg);
 
 struct FleetRunOptions {
   // Worker threads. Devices are fully independent, so the report is
-  // byte-identical for any value; 1 = the next-event engine.
+  // byte-identical for any value; 1 = one device after another, in id
+  // order, on the calling thread.
   int jobs = 1;
   bool verbose = false;  // per-device line to stderr
-  // Event-engine resident window: at most this many devices are built at
-  // once (lazy build on admission, destroyed at completion). Bounds peak
-  // memory at O(window), not O(population).
+  // At most this many devices are built at once: caps the worker count
+  // (each worker holds one device). Bounds peak memory at
+  // O(min(jobs, max_resident)), not O(population).
   int max_resident = 1024;
   // Re-run the SAME population with every agenda's runtime forced to
   // each of these fixed keys and record jobs-completed/in-deadline —
@@ -132,11 +131,11 @@ struct FleetRunOptions {
   // group's admission mode to admit=all regardless of its sched spec.
   bool force_admit_all = false;
   // Host wall-clock phase attribution (--profile): recharge vs kernel vs
-  // checkpoint vs engine time. Honored only on the serial event engine
-  // (the worker pool shares one sink unsynchronized);
-  // null = no instrumentation. run()/run_shard() THROW when profile is
-  // set together with jobs > 1 — the request used to be silently ignored,
-  // which read as "the run was profiled" when it was not.
+  // checkpoint vs engine time. Serial runs only (workers would share
+  // one sink unsynchronized); null = no instrumentation. run()/run_shard()
+  // THROW when profile is set together with jobs > 1 — the request used
+  // to be silently ignored, which read as "the run was profiled" when it
+  // was not.
   flex::PhaseProfile* profile = nullptr;
   // Devices whose event ring is retained for export (--trace-devices).
   // Every device always collects counts-only events for the metrics
@@ -236,13 +235,13 @@ struct FleetReport {
 };
 
 // Observer of per-device results. record() is called once per device as
-// agendas complete — the order is unspecified (the event queue, worker
-// pools and shards all retire devices differently) and calls are
-// serialized by the engine, so implementations need no locking but MUST
-// be order-independent (sort by FleetDeviceResult::device at finalize,
-// accumulate only order-free state in record). merge() folds another
-// sink of the same concrete type — a shard's — into this one; finalize()
-// runs once after every device (or merged shard) has been recorded.
+// agendas complete — the order is unspecified (worker pools and shards
+// retire devices differently) and calls are serialized by the engine, so
+// implementations need no locking but MUST be order-independent (sort by
+// FleetDeviceResult::device at finalize, accumulate only order-free state
+// in record). merge() folds another sink of the same concrete type — a
+// shard's — into this one; finalize() runs once after every device (or
+// merged shard) has been recorded.
 class FleetSink {
  public:
   virtual ~FleetSink() = default;
@@ -254,8 +253,9 @@ class FleetSink {
 // Builds and runs one fleet population. Construction validates the
 // config and throws on unknown runtime keys or harvest specs (fail fast,
 // before any device boots). Each run compiles one image per group
-// (sim/recipe.h: FRAM fitted unless the group pins it) and builds devices
-// lazily, each stamped from its group's image by sim::provision.
+// (sim/recipe.h: FRAM fitted unless the group pins it) and builds each
+// device when its turn comes, stamped from its group's image by
+// sim::provision.
 //
 //   FleetReport r = FleetEngine(cfg).add_sink(my_sink).run(opts);
 //

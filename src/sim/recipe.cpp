@@ -52,11 +52,10 @@ std::unique_ptr<flex::RuntimePolicy> make_deployment_policy(const std::string& r
 }
 
 std::unique_ptr<ProvisionedDevice> provision(const DeviceRecipe& recipe,
-                                             const CompiledImage& image,
-                                             dev::DeviceSlabs* slabs) {
+                                             const CompiledImage& image) {
   dev::DeviceConfig cfg = image.snapshot->config();
   cfg.scramble_seed = recipe.scramble_seed;
-  auto p = std::make_unique<ProvisionedDevice>(cfg, slabs);
+  auto p = std::make_unique<ProvisionedDevice>(cfg);
   if (recipe.trace_capacity > 0) {
     p->trace.set_capacity(static_cast<std::size_t>(recipe.trace_capacity));
   }

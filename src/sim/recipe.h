@@ -93,16 +93,14 @@ struct ProvisionedDevice {
   obs::EventTrace trace;
   flex::RunOptions opts;
 
-  ProvisionedDevice(const dev::DeviceConfig& cfg, dev::DeviceSlabs* slabs)
-      : device(cfg, slabs) {}
+  explicit ProvisionedDevice(const dev::DeviceConfig& cfg) : device(cfg) {}
   ProvisionedDevice(const ProvisionedDevice&) = delete;
   ProvisionedDevice& operator=(const ProvisionedDevice&) = delete;
 };
 
 // Builds the device `recipe` describes, stamped from `image` (which must
-// outlive it); `slabs` optionally donates recycled memory buffers.
+// outlive it).
 std::unique_ptr<ProvisionedDevice> provision(const DeviceRecipe& recipe,
-                                             const CompiledImage& image,
-                                             dev::DeviceSlabs* slabs = nullptr);
+                                             const CompiledImage& image);
 
 }  // namespace ehdnn::sim

@@ -1,12 +1,13 @@
 // Fleet engine (sim/fleet.h), parallel sweep (SweepOptions::jobs) and the
 // device recipe they share (sim/recipe.h): the fleet runs heterogeneous
 // groups of duty-cycled devices through the incremental executor API,
-// every execution path — the next-event engine, worker pools, process
-// shards — must produce identical artifacts, and a device stamped from a
+// every execution path — one thread, worker pools, process shards — must
+// produce identical artifacts, and a device stamped from a
 // compiled image must run exactly like one compiled in place.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -88,12 +89,13 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   serial.jobs = 1;
   FleetRunOptions parallel;
   parallel.jobs = 3;
-  FleetRunOptions tight_window;  // event engine forced to evict and re-admit
-  tight_window.max_resident = 2;
+  FleetRunOptions capped;  // the resident cap overrides the worker count
+  capped.jobs = 3;
+  capped.max_resident = 2;
   const FleetReport a = FleetEngine(tiny_fleet()).run(serial);
   const FleetReport b = FleetEngine(tiny_fleet()).run(parallel);
   const FleetReport c = FleetEngine(tiny_fleet()).run(serial);
-  const FleetReport d = FleetEngine(tiny_fleet()).run(tight_window);
+  const FleetReport d = FleetEngine(tiny_fleet()).run(capped);
   ASSERT_EQ(a.devices.size(), b.devices.size());
   std::ostringstream ja, jb, jc, jd;
   write_fleet_json(ja, a);
@@ -102,27 +104,26 @@ TEST(Fleet, DeterministicAcrossRunsAndWorkerCounts) {
   write_fleet_json(jd, d);
   EXPECT_EQ(ja.str(), jb.str()) << "FLEET.json must be byte-identical for any worker count";
   EXPECT_EQ(ja.str(), jc.str()) << "FLEET.json must be byte-identical across reruns";
-  EXPECT_EQ(ja.str(), jd.str()) << "FLEET.json must be byte-identical for any resident window";
+  EXPECT_EQ(ja.str(), jd.str()) << "FLEET.json must be byte-identical for any resident cap";
 }
 
-// The serial engine's ordering (pop the device with the globally-minimal
-// next actionable instant) against the worker pool, which builds, runs
-// and retires each device alone, so its result cannot depend on any
-// interleaving: devices are independent, so the artifacts must be
-// bit-exact — on the committed heterogeneous population and on the
-// micro-capacitor ladder whose livelocks exercise every verdict path.
-TEST(Fleet, EventEngineMatchesWorkerPool) {
+// A serial run (devices one after another, in id order) against the
+// worker pool, whose devices finish in whatever order the threads get to
+// them: devices are independent, so the artifacts must be bit-exact — on
+// the committed heterogeneous population and on the micro-capacitor
+// ladder whose livelocks exercise every verdict path.
+TEST(Fleet, SerialRunMatchesWorkerPool) {
   for (const char* path : {"configs/fleet_hetero.cfg", "configs/fleet_microcap.cfg"}) {
     const FleetConfig cfg = parse_fleet_config_file(path);
-    FleetRunOptions event_opts;
+    FleetRunOptions serial_opts;
     FleetRunOptions pool_opts;
     pool_opts.jobs = 3;
-    const FleetReport ev = FleetEngine(cfg).run(event_opts);
+    const FleetReport serial = FleetEngine(cfg).run(serial_opts);
     const FleetReport pool = FleetEngine(cfg).run(pool_opts);
-    std::ostringstream jev, jpool;
-    write_fleet_json(jev, ev);
+    std::ostringstream jserial, jpool;
+    write_fleet_json(jserial, serial);
     write_fleet_json(jpool, pool);
-    EXPECT_EQ(jev.str(), jpool.str()) << path << ": event engine diverged from worker pool";
+    EXPECT_EQ(jserial.str(), jpool.str()) << path << ": serial run diverged from worker pool";
   }
 }
 
@@ -191,6 +192,79 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   EXPECT_NE(agg_whole.str().find("\"detail\": \"aggregate\""), std::string::npos);
   EXPECT_NE(agg_whole.str().find("\"per_device\": []"), std::string::npos);
   EXPECT_EQ(run_as_shards(agg_cfg, 2), agg_whole.str());
+}
+
+// The merge reads files another process wrote, so a hand-edited partial
+// must fail loudly, naming the file, rather than crash, double-count or
+// drop a device. Each case rewrites one line of a genuine run_shard
+// partial; the aggregate-detail cases have no job lines to cross-check.
+TEST(Fleet, MergeRejectsTamperedPartials) {
+  FleetConfig full = tiny_fleet();  // 6 devices, shard 0 = [0, 3)
+  FleetConfig aggregate = full;
+  aggregate.per_device_detail = false;
+  FleetRunOptions opts;
+  opts.trace_devices = {1};
+  auto shard_lines = [&](const FleetConfig& cfg, int s) {
+    std::ostringstream os;
+    FleetEngine(cfg).run_shard(os, s, 2, opts);
+    std::istringstream is(os.str());
+    std::vector<std::string> out;
+    for (std::string line; std::getline(is, line);) out.push_back(line);
+    return out;
+  };
+  auto write = [](const std::string& path, const std::vector<std::string>& lines) {
+    std::ofstream f(path);
+    for (const auto& l : lines) f << l << "\n";
+  };
+  struct Case {
+    const char* name;
+    const FleetConfig* cfg;
+    std::string prefix;       // the first shard-0 line starting with this...
+    std::string replacement;  // ...gets it replaced; "" deletes the line
+  };
+  const std::vector<Case> cases = {
+      {"row outside the population", &full, "row 2 ", "row 999 "},
+      {"duplicated row", &full, "row 2 ", "row 1 "},
+      {"row outside the population (aggregate)", &aggregate, "row 2 ", "row 999 "},
+      {"duplicated row (aggregate)", &aggregate, "row 2 ", "row 1 "},
+      {"huge trace event count", &full, "trace 1 ", "trace 1 999999999999999999 "},
+      {"trace outside the shard", &full, "trace 1 ", "trace 4 "},
+      {"job outside the shard", &full, "job 2 ", "job 4 "},
+      {"jobs out of order", &full, "job 2 ", "job 0 "},
+      {"job without a row", &full, "row 2 ", ""},
+  };
+  const std::string shard0 = testing::TempDir() + "tamper_0.part";
+  const std::string shard1 = testing::TempDir() + "tamper_1.part";
+  for (const FleetConfig* cfg : {&full, &aggregate}) {
+    // The untampered pair merges, so each failure below is the edit's.
+    const std::vector<std::string> genuine0 = shard_lines(*cfg, 0);
+    write(shard0, genuine0);
+    write(shard1, shard_lines(*cfg, 1));
+    EXPECT_NO_THROW(merge_fleet_shards({shard0, shard1}));
+    for (const Case& c : cases) {
+      if (c.cfg != cfg) continue;
+      std::vector<std::string> lines = genuine0;
+      const auto it = std::find_if(lines.begin(), lines.end(), [&](const std::string& l) {
+        return l.rfind(c.prefix, 0) == 0;
+      });
+      ASSERT_NE(it, lines.end()) << c.name << ": no line starts with \"" << c.prefix << "\"";
+      if (c.replacement.empty()) {
+        lines.erase(it);
+      } else {
+        *it = c.replacement + it->substr(c.prefix.size());
+      }
+      write(shard0, lines);
+      try {
+        merge_fleet_shards({shard0, shard1});
+        ADD_FAILURE() << c.name << ": merge accepted the tampered partial";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find(shard0), std::string::npos)
+            << c.name << ": error does not name the file: " << e.what();
+      }
+    }
+  }
+  std::remove(shard0.c_str());
+  std::remove(shard1.c_str());
 }
 
 TEST(Fleet, ConfigRoundTripsThroughWriter) {

@@ -1,6 +1,6 @@
 // Fleet-simulation CLI: runs a population of independent intermittent
 // devices — homogeneous via flags, heterogeneous and duty-cycled via a
-// fleet config file — on the event-driven fleet engine, and writes
+// fleet config file — one device at a time per worker, and writes
 // FLEET.json (schema ehdnn-fleet-v6; see BENCHMARKS.md "Fleet" and
 // "Observability"). Run from the repo root so trace paths resolve:
 //
@@ -68,8 +68,6 @@ int main(int argc, char** argv) {
   p.str("--config", "FILE", "fleet config file (heterogeneous populations)",
         &config_path);
   p.int_min("--jobs", "N", "worker threads (same bytes for any N)", &ropts.jobs, 1);
-  p.int_min("--max-resident", "N", "event-engine resident-device window",
-            &ropts.max_resident, 1);
   p.toggle("--compare-fixed", "re-run with every fixed runtime as a baseline",
            &compare_fixed);
   p.toggle("--compare-admission", "re-run with energy-budgeted admission off",
