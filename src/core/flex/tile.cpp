@@ -178,11 +178,9 @@ TileSpec parse_tile_spec(const std::string& key) {
   const std::size_t colon = key.find(':');
   check(key.substr(0, colon) == "tile", "tile spec must start with \"tile\": " + key);
   if (colon == std::string::npos) return spec;
-  SpecArgs a(key, key.substr(colon + 1));
-  const double t = a.num("t", static_cast<double>(spec.tile_elems));
-  check(t >= 1.0 && t <= 4096.0 && t == static_cast<double>(static_cast<long>(t)),
-        "spec \"" + key + "\": t must be an integer in [1, 4096]");
-  spec.tile_elems = static_cast<std::size_t>(t);
+  SpecArgs a("tile spec \"" + key + "\"", spec_items(key));
+  spec.tile_elems = static_cast<std::size_t>(
+      a.integer("t", static_cast<long long>(spec.tile_elems), 1, 4096));
   a.finish();
   return spec;
 }

@@ -1,6 +1,6 @@
 #include "power/factory.h"
 
-#include <cstdlib>
+#include <climits>
 
 #include "power/trace.h"
 #include "util/check.h"
@@ -27,7 +27,7 @@ std::unique_ptr<HarvestSource> make_sine(const std::string&, SpecArgs& a) {
 std::unique_ptr<HarvestSource> make_rf(const std::string&, SpecArgs& a) {
   return std::make_unique<PoissonBurstSource>(
       a.num("base", 0.2e-3), a.num("burst", 5e-3), a.num("rate", 30.0), a.num("dur", 5e-3),
-      static_cast<std::uint64_t>(a.num("seed", 1.0)), a.num("horizon", 10.0));
+      static_cast<std::uint64_t>(a.integer("seed", 1, 0, LLONG_MAX)), a.num("horizon", 10.0));
 }
 
 std::unique_ptr<HarvestSource> make_solar(const std::string&, SpecArgs& a) {
@@ -37,7 +37,6 @@ std::unique_ptr<HarvestSource> make_solar(const std::string&, SpecArgs& a) {
 
 std::unique_ptr<HarvestSource> make_trace(const std::string& spec, SpecArgs& a) {
   const std::string path = a.str("path");
-  check(!path.empty(), "harvest spec \"" + spec + "\": trace needs path=FILE");
   const std::string interp_s = a.str("interp", "linear");
   TraceInterp interp;
   if (interp_s == "linear") {
@@ -78,7 +77,7 @@ const std::vector<std::string>& harvest_source_kinds() {
 std::unique_ptr<HarvestSource> make_harvest_source(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
-  SpecArgs a(spec, colon == std::string::npos ? "" : spec.substr(colon + 1));
+  SpecArgs a("harvest spec \"" + spec + "\"", spec_items(spec));
   for (const auto& k : kKindTable) {
     if (kind == k.kind) {
       auto src = k.make(spec, a);

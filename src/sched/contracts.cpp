@@ -1,12 +1,12 @@
 #include "sched/contracts.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 
 #include "nn/bcm_dense.h"
 #include "nn/conv.h"
@@ -20,6 +20,7 @@
 #include "util/format.h"
 #include "util/parallel.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sched::contract {
 
@@ -113,37 +114,13 @@ const Fixture& fixture() {
 
 // ---------------------------------------------------------- serialization
 
-// Splits "key=value" at the FIRST '=' (values may contain '=' again:
-// source/sched specs).
-std::pair<std::string, std::string> split_kv(const std::string& tok,
-                                             const std::string& line) {
-  const std::size_t eq = tok.find('=');
-  ehdnn::check(eq != std::string::npos && eq > 0,
-        "contract world \"" + line + "\": expected key=value, got \"" + tok + "\"");
-  return {tok.substr(0, eq), tok.substr(eq + 1)};
-}
-
-double parse_double(const std::string& v, const std::string& line) {
-  char* end = nullptr;
-  const double d = std::strtod(v.c_str(), &end);
-  ehdnn::check(end != nullptr && *end == '\0' && !v.empty(),
-        "contract world \"" + line + "\": bad number \"" + v + "\"");
-  return d;
-}
-
-int parse_int(const std::string& v, const std::string& line) {
-  const double d = parse_double(v, line);
-  ehdnn::check(d == std::floor(d) && std::abs(d) < 1e9,
-        "contract world \"" + line + "\": bad integer \"" + v + "\"");
-  return static_cast<int>(d);
-}
-
-std::vector<std::string> tokens_of(const std::string& line) {
-  std::vector<std::string> toks;
-  std::istringstream is(line);
-  std::string t;
-  while (is >> t) toks.push_back(t);
-  return toks;
+// The key=value fields of a `kind` line (SpecArgs rejects duplicate,
+// unknown and, through the required accessors, missing keys).
+SpecArgs world_fields(const std::string& line, const char* kind) {
+  const std::vector<std::string> toks = split_ws(line);
+  ehdnn::check(!toks.empty() && toks.front() == kind,
+               "contract world \"" + line + "\": expected a line starting with '" + kind + "'");
+  return SpecArgs("contract world \"" + line + "\"", {toks.begin() + 1, toks.end()});
 }
 
 }  // namespace
@@ -170,68 +147,35 @@ std::string serialize_world(const RelockWorld& w) {
 }
 
 World parse_world(const std::string& line) {
-  const std::vector<std::string> toks = tokens_of(line);
-  ehdnn::check(!toks.empty() && toks.front() == "world",
-        "contract world \"" + line + "\": expected a line starting with 'world'");
+  SpecArgs a = world_fields(line, "world");
   World w;
-  int seen = 0;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    const auto [k, v] = split_kv(toks[i], line);
-    if (k == "id") {
-      w.id = parse_int(v, line);
-    } else if (k == "src") {
-      w.source = v;
-    } else if (k == "cap") {
-      w.cap_f = parse_double(v, line);
-    } else if (k == "von") {
-      w.v_on = parse_double(v, line);
-    } else if (k == "period") {
-      w.period_s = parse_double(v, line);
-    } else if (k == "dl") {
-      w.deadline_s = parse_double(v, line);
-    } else if (k == "jobs") {
-      w.jobs = parse_int(v, line);
-    } else if (k == "sched") {
-      w.sched = v;
-    } else {
-      fail("contract world \"" + line + "\": unknown key \"" + k + "\"");
-    }
-    ++seen;
-  }
-  ehdnn::check(seen == 8, "contract world \"" + line + "\": expected 8 key=value fields");
-  ehdnn::check(!w.source.empty() && !w.sched.empty() && w.jobs >= 1 && w.cap_f > 0.0 &&
-            w.v_on > 0.0 && w.period_s > 0.0 && w.deadline_s > 0.0,
-        "contract world \"" + line + "\": out-of-range field");
+  w.id = static_cast<int>(a.integer("id", -1, INT_MAX));
+  w.source = a.str("src");
+  w.cap_f = a.num("cap");
+  w.v_on = a.num("von");
+  w.period_s = a.num("period");
+  w.deadline_s = a.num("dl");
+  w.jobs = static_cast<int>(a.integer("jobs", 1, INT_MAX));
+  w.sched = a.str("sched");
+  a.finish();
+  ehdnn::check(!w.source.empty() && !w.sched.empty() && w.cap_f > 0.0 && w.v_on > 0.0 &&
+                   w.period_s > 0.0 && w.deadline_s > 0.0,
+               "contract world \"" + line + "\": out-of-range field");
   return w;
 }
 
 RelockWorld parse_relock_world(const std::string& line) {
-  const std::vector<std::string> toks = tokens_of(line);
-  ehdnn::check(!toks.empty() && toks.front() == "relock",
-        "contract world \"" + line + "\": expected a line starting with 'relock'");
+  SpecArgs a = world_fields(line, "relock");
   RelockWorld w;
-  int seen = 0;
-  for (std::size_t i = 1; i < toks.size(); ++i) {
-    const auto [k, v] = split_kv(toks[i], line);
-    if (k == "id") {
-      w.id = parse_int(v, line);
-    } else if (k == "p1") {
-      w.p1_s = parse_double(v, line);
-    } else if (k == "p2") {
-      w.p2_s = parse_double(v, line);
-    } else if (k == "hi") {
-      w.hi_w = parse_double(v, line);
-    } else if (k == "lo") {
-      w.lo_w = parse_double(v, line);
-    } else {
-      fail("contract world \"" + line + "\": unknown key \"" + k + "\"");
-    }
-    ++seen;
-  }
-  ehdnn::check(seen == 5, "contract world \"" + line + "\": expected 5 key=value fields");
+  w.id = static_cast<int>(a.integer("id", -1, INT_MAX));
+  w.p1_s = a.num("p1");
+  w.p2_s = a.num("p2");
+  w.hi_w = a.num("hi");
+  w.lo_w = a.num("lo");
+  a.finish();
   ehdnn::check(w.p1_s > 0.0 && w.p2_s > 0.0 && w.p1_s != w.p2_s && w.hi_w > w.lo_w &&
-            w.lo_w >= 0.0,
-        "contract world \"" + line + "\": out-of-range field");
+                   w.lo_w >= 0.0,
+               "contract world \"" + line + "\": out-of-range field");
   return w;
 }
 

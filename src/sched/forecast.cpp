@@ -387,12 +387,8 @@ std::unique_ptr<HarvestForecaster> make_ema_spec(SpecArgs& a) {
 }
 
 std::unique_ptr<HarvestForecaster> make_window_spec(SpecArgs& a) {
-  // Range-checked before the cast (out-of-range double-to-size_t is UB).
-  const double n = a.num("n", 8.0);
-  check(n >= 1.0 && n <= 1e6 && n == std::floor(n),
-        "window forecaster: n must be an integer in [1, 1e6]");
   return make_window_forecaster(a.num("prior", kDefaultPriorW),
-                                static_cast<std::size_t>(n));
+                                static_cast<std::size_t>(a.integer("n", 8, 1, 1000000)));
 }
 
 std::unique_ptr<HarvestForecaster> make_const_spec(SpecArgs& a) {
@@ -400,11 +396,9 @@ std::unique_ptr<HarvestForecaster> make_const_spec(SpecArgs& a) {
 }
 
 std::unique_ptr<HarvestForecaster> make_periodic_spec(SpecArgs& a) {
-  const double bins = a.num("bins", 12.0);
-  check(bins >= 2.0 && bins <= 1024.0 && bins == std::floor(bins),
-        "periodic forecaster: bins must be an integer in [2, 1024]");
   return make_periodic_forecaster(a.num("prior", kDefaultPriorW), a.num("alpha", 0.5),
-                                  static_cast<std::size_t>(bins), a.num("conf", 0.6));
+                                  static_cast<std::size_t>(a.integer("bins", 12, 2, 1024)),
+                                  a.num("conf", 0.6));
 }
 
 constexpr KindEntry kKindTable[] = {
@@ -446,7 +440,7 @@ const std::vector<std::string>& forecaster_kinds() {
 std::unique_ptr<HarvestForecaster> make_forecaster(const std::string& spec) {
   const std::size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
-  SpecArgs a(spec, colon == std::string::npos ? "" : spec.substr(colon + 1));
+  SpecArgs a("forecaster spec \"" + spec + "\"", spec_items(spec));
   for (const auto& k : kKindTable) {
     if (kind == k.kind) {
       auto fc = k.make(a);

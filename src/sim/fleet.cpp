@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -25,6 +23,7 @@
 #include "util/parse.h"
 #include "util/qsketch.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sim {
 
@@ -497,12 +496,13 @@ ShardPartial parse_shard_partial(std::istream& is, const std::string& where) {
       std::string rest;
       std::getline(ls, rest);
       if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      if (which == "latency") {
-        p.agg.latency = QuantileSketch::deserialize(rest);
-      } else if (which == "staleness") {
-        p.agg.staleness = QuantileSketch::deserialize(rest);
-      } else {
-        fail(where + ": unknown sketch \"" + which + "\"");
+      check(which == "latency" || which == "staleness",
+            where + ": unknown sketch \"" + which + "\"");
+      try {
+        (which == "latency" ? p.agg.latency : p.agg.staleness) =
+            QuantileSketch::deserialize(rest);
+      } catch (const Error& e) {
+        fail(where + ": " + e.what());
       }
     } else if (tag == "row") {
       DeviceRow r;
@@ -611,92 +611,45 @@ FleetConfig parse_fleet_config(std::istream& is) {
     ++lineno;
     const std::string where = "fleet config line " + std::to_string(lineno);
     // Strip comments, tokenize on whitespace.
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::vector<std::string> tokens;
-    for (std::string t; ls >> t;) tokens.push_back(t);
+    const std::vector<std::string> tokens = split_ws(line.substr(0, line.find('#')));
     if (tokens.empty()) continue;
-
-    std::map<std::string, std::string> kv;
-    for (std::size_t i = 1; i < tokens.size(); ++i) {
-      const std::size_t eq = tokens[i].find('=');
-      check(eq != std::string::npos && eq > 0,
-            where + ": expected key=value, got \"" + tokens[i] + "\"");
-      const std::string key = tokens[i].substr(0, eq);
-      check(kv.find(key) == kv.end(), where + ": duplicate key \"" + key + "\"");
-      kv[key] = tokens[i].substr(eq + 1);
-    }
-    auto take = [&](const char* key) -> std::optional<std::string> {
-      const auto it = kv.find(key);
-      if (it == kv.end()) return std::nullopt;
-      std::string v = it->second;
-      kv.erase(it);
-      return v;
-    };
-    auto take_num = [&](const char* key) -> std::optional<double> {
-      const auto v = take(key);
-      if (!v.has_value()) return std::nullopt;
-      const auto d = parse_double(*v);
-      check(d.has_value(), where + ": bad number for " + key + ": \"" + *v + "\"");
-      return d;
-    };
-    // Integer-valued keys: range-checked BEFORE the cast (a double out of
-    // the target's range is undefined behavior at the conversion, not a
-    // garbage value) so malformed entries throw as documented.
-    auto take_int = [&](const char* key, double lo, double hi) -> std::optional<long long> {
-      const auto v = take_num(key);
-      if (!v.has_value()) return std::nullopt;
-      check(*v >= lo && *v <= hi && *v == std::floor(*v),
-            where + ": " + key + " must be an integer in [" + std::to_string(lo) + ", " +
-                std::to_string(hi) + "]");
-      return static_cast<long long>(*v);
-    };
-
+    SpecArgs a(where, {tokens.begin() + 1, tokens.end()});
     if (tokens[0] == "fleet") {
       check(!saw_fleet_line, where + ": duplicate fleet line");
       saw_fleet_line = true;
-      if (const auto v = take("source")) cfg.source = *v;
-      if (const auto v = take_num("spread")) cfg.offset_spread_s = *v;
-      if (const auto v = take("seed")) {
-        const char* s = v->c_str();
-        char* end = nullptr;
-        cfg.seed = std::strtoull(s, &end, 0);
-        check(end != s && *end == '\0', where + ": bad seed \"" + *v + "\"");
+      cfg.source = a.str("source", cfg.source);
+      cfg.offset_spread_s = a.num("spread", cfg.offset_spread_s);
+      if (a.has("seed")) {
+        const std::string v = a.str("seed");
+        const auto seed = parse_seed(v);
+        check(seed.has_value(), where + ": bad seed \"" + v + "\"");
+        cfg.seed = *seed;
       }
-      if (const auto v = take("detail")) {
-        if (*v == "full") {
-          cfg.per_device_detail = true;
-        } else if (*v == "aggregate") {
-          cfg.per_device_detail = false;
-        } else {
-          fail(where + ": detail must be \"full\" or \"aggregate\", got \"" + *v + "\"");
-        }
-      }
+      const std::string detail = a.str("detail", "full");
+      check(detail == "full" || detail == "aggregate",
+            where + ": detail must be \"full\" or \"aggregate\", got \"" + detail + "\"");
+      cfg.per_device_detail = detail == "full";
     } else if (tokens[0] == "group") {
+      constexpr long long kMaxCount = 1000000000, kMaxBoots = 1000000000000000;
       FleetGroup g;
-      g.name = "group" + std::to_string(cfg.groups.size());
-      if (const auto v = take("name")) g.name = *v;
-      if (const auto v = take_int("count", 0, 1e9)) g.count = static_cast<int>(*v);
-      if (const auto v = take("task")) g.task = models::parse_task(*v);
-      if (const auto v = take("runtime")) g.agenda.runtime = *v;
-      if (const auto v = take_num("cap")) g.capacitance_f = *v;
-      if (const auto v = take_num("max_off")) g.max_off_s = *v;
-      if (const auto v = take_int("reboots", 0, 1e15)) g.max_reboots = static_cast<long>(*v);
-      if (const auto v = take_int("max_futile", 0, 1e15)) g.max_futile = static_cast<long>(*v);
-      if (const auto v = take_int("jobs", 0, 1e9)) g.agenda.jobs = static_cast<int>(*v);
-      if (const auto v = take_num("period")) g.agenda.period_s = *v;
-      if (const auto v = take_num("deadline")) g.agenda.deadline_s = *v;
-      if (const auto v = take("sched")) g.sched_spec = *v;
-      if (const auto v = take_int("fram", 0, 1e12)) {
-        g.fram_words = static_cast<std::size_t>(*v);
-      }
+      g.name = a.str("name", "group" + std::to_string(cfg.groups.size()));
+      g.count = static_cast<int>(a.integer("count", g.count, 0, kMaxCount));
+      if (a.has("task")) g.task = models::parse_task(a.str("task"));
+      g.agenda.runtime = a.str("runtime", g.agenda.runtime);
+      g.capacitance_f = a.num("cap", g.capacitance_f);
+      g.max_off_s = a.num("max_off", g.max_off_s);
+      g.max_reboots = static_cast<long>(a.integer("reboots", g.max_reboots, 0, kMaxBoots));
+      g.max_futile = static_cast<long>(a.integer("max_futile", g.max_futile, 0, kMaxBoots));
+      g.agenda.jobs = static_cast<int>(a.integer("jobs", g.agenda.jobs, 0, kMaxCount));
+      g.agenda.period_s = a.num("period", g.agenda.period_s);
+      g.agenda.deadline_s = a.num("deadline", g.agenda.deadline_s);
+      g.sched_spec = a.str("sched", g.sched_spec);
+      g.fram_words = static_cast<std::size_t>(a.integer("fram", static_cast<long long>(g.fram_words), 0, 1000000000000));
       cfg.groups.push_back(std::move(g));
     } else {
       fail(where + ": expected \"fleet\" or \"group\", got \"" + tokens[0] + "\"");
     }
-    check(kv.empty(),
-          where + ": unknown key \"" + (kv.empty() ? "" : kv.begin()->first) + "\"");
+    a.finish();
   }
   validate(cfg);
   return cfg;

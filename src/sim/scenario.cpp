@@ -16,6 +16,7 @@
 #include "util/parallel.h"
 #include "util/parse.h"
 #include "util/rng.h"
+#include "util/spec.h"
 
 namespace ehdnn::sim {
 
@@ -80,12 +81,6 @@ const RuntimeEntry& runtime_entry(const std::string& key) {
   std::string known;
   for (const auto& rk : kRuntimeTable) known += std::string(known.empty() ? "" : "|") + rk.key;
   fail("scenario: unknown runtime \"" + key + "\" (" + known + ")");
-}
-
-double parse_num(const std::string& arg, const std::string& key, const std::string& val) {
-  const auto v = parse_double(val);
-  check(v.has_value(), "scenario \"" + arg + "\": bad number for " + key + ": \"" + val + "\"");
-  return *v;
 }
 
 // One cell is one device running one inference: `image` is the task's
@@ -172,34 +167,16 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
         "scenario \"" + arg + "\": expected NAME=SOURCE[;key=value...]");
   ScenarioSpec sc;
   sc.name = arg.substr(0, eq);
-  const std::string rest = arg.substr(eq + 1);
-  std::size_t pos = rest.find(';');
-  sc.source = rest.substr(0, pos);
+  const std::vector<std::string> items = split(arg.substr(eq + 1), ';');
+  sc.source = items.front();
   check(!sc.source.empty(), "scenario \"" + arg + "\": empty source spec");
-  while (pos != std::string::npos) {
-    const std::size_t next = rest.find(';', pos + 1);
-    const std::string item =
-        rest.substr(pos + 1, (next == std::string::npos ? rest.size() : next) - pos - 1);
-    pos = next;
-    if (item.empty()) continue;
-    const std::size_t ieq = item.find('=');
-    check(ieq != std::string::npos && ieq > 0,
-          "scenario \"" + arg + "\": expected key=value, got \"" + item + "\"");
-    const std::string key = item.substr(0, ieq);
-    const std::string val = item.substr(ieq + 1);
-    if (key == "cap") {
-      sc.capacitance_f = parse_num(arg, key, val);
-    } else if (key == "max_off") {
-      sc.max_off_s = parse_num(arg, key, val);
-    } else if (key == "reboots") {
-      sc.max_reboots = static_cast<long>(parse_num(arg, key, val));
-    } else if (key == "max_futile") {
-      sc.max_futile = static_cast<long>(parse_num(arg, key, val));
-      check(sc.max_futile >= 0, "scenario \"" + arg + "\": max_futile must be >= 0");
-    } else {
-      fail("scenario \"" + arg + "\": unknown option \"" + key + "\"");
-    }
-  }
+  SpecArgs a("scenario \"" + arg + "\"", {items.begin() + 1, items.end()});
+  constexpr long long kMaxBoots = 1000000000000000;
+  sc.capacitance_f = a.num("cap", sc.capacitance_f);
+  sc.max_off_s = a.num("max_off", sc.max_off_s);
+  sc.max_reboots = static_cast<long>(a.integer("reboots", sc.max_reboots, 0, kMaxBoots));
+  sc.max_futile = static_cast<long>(a.integer("max_futile", sc.max_futile, 0, kMaxBoots));
+  a.finish();
   return sc;
 }
 

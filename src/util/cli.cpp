@@ -1,7 +1,7 @@
 #include "util/cli.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <climits>
 #include <iostream>
 #include <ostream>
 
@@ -14,12 +14,12 @@ namespace ehdnn {
 
 namespace {
 
-long long parse_int_field(const std::string& flag, const std::string& v) {
-  const char* s = v.c_str();
-  char* end = nullptr;
-  const long long n = std::strtoll(s, &end, 10);
-  check(end != s && *end == '\0', flag + " needs an integer, got \"" + v + "\"");
-  return n;
+long long int_field(const std::string& flag, const std::string& v, long long min,
+                    long long max) {
+  const auto n = parse_integer(v, min, max);
+  check(n.has_value(), flag + " needs an integer in [" + std::to_string(min) + ", " +
+                           std::to_string(max) + "], got \"" + v + "\"");
+  return *n;
 }
 
 }  // namespace
@@ -56,9 +56,16 @@ CliParser& CliParser::int_min(std::string flag, std::string metavar, std::string
   const std::string f = flag;
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, min, f](const std::string& v) {
-                 const long long n = parse_int_field(f, v);
-                 check(n >= min, f + " needs an integer >= " + std::to_string(min));
-                 *out = static_cast<int>(n);
+                 *out = static_cast<int>(int_field(f, v, min, INT_MAX));
+               });
+}
+
+CliParser& CliParser::int_min(std::string flag, std::string metavar, std::string help,
+                              long* out, long min) {
+  const std::string f = flag;
+  return value(std::move(flag), std::move(metavar), std::move(help),
+               [out, min, f](const std::string& v) {
+                 *out = static_cast<long>(int_field(f, v, min, LONG_MAX));
                });
 }
 
@@ -78,12 +85,9 @@ CliParser& CliParser::seed(std::string flag, std::string metavar, std::string he
   const std::string f = flag;
   return value(std::move(flag), std::move(metavar), std::move(help),
                [out, f](const std::string& v) {
-                 const char* s = v.c_str();
-                 char* end = nullptr;
-                 const unsigned long long n = std::strtoull(s, &end, 0);
-                 check(end != s && *end == '\0',
-                       f + " needs an integer, got \"" + v + "\"");
-                 *out = n;
+                 const auto n = parse_seed(v);
+                 check(n.has_value(), f + " needs an unsigned integer, got \"" + v + "\"");
+                 *out = *n;
                });
 }
 

@@ -36,11 +36,15 @@ class CliParser {
   // Boolean --flag after which the program exits 0 (--list-runtimes & co).
   CliParser& terminal(std::string flag, std::string help, std::function<void()> fn);
 
-  // Typed conveniences over value(). int_min/num_min reject values below
-  // `min` with the flag's own diagnostic; seed accepts 0x-prefixed hex.
+  // Typed conveniences over value(). int_min parses through
+  // parse_integer (util/parse.h) and rejects values below `min` or past
+  // the target type with the flag's own diagnostic; seed is parse_seed
+  // (0x-prefixed hex accepted).
   CliParser& str(std::string flag, std::string metavar, std::string help, std::string* out);
   CliParser& int_min(std::string flag, std::string metavar, std::string help, int* out,
                      int min);
+  CliParser& int_min(std::string flag, std::string metavar, std::string help, long* out,
+                     long min);
   CliParser& num(std::string flag, std::string metavar, std::string help, double* out);
   CliParser& seed(std::string flag, std::string metavar, std::string help,
                   std::uint64_t* out);

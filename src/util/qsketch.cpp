@@ -1,5 +1,6 @@
 #include "util/qsketch.h"
 
+#include <climits>
 #include <cmath>
 #include <ostream>
 #include <sstream>
@@ -128,8 +129,11 @@ QuantileSketch QuantileSketch::deserialize(const std::string& line) {
   std::string count_s, zero_s, min_s, max_s;
   is >> count_s >> zero_s >> min_s >> max_s;
   check(!max_s.empty(), "qsketch: truncated header in '" + line + "'");
-  s.count_ = std::stoull(count_s);
-  s.zero_count_ = std::stoull(zero_s);
+  const auto count = parse_integer(count_s, 0, LLONG_MAX);
+  const auto zeros = parse_integer(zero_s, 0, LLONG_MAX);
+  check(count.has_value() && zeros.has_value(), "qsketch: bad counts in '" + line + "'");
+  s.count_ = static_cast<std::uint64_t>(*count);
+  s.zero_count_ = static_cast<std::uint64_t>(*zeros);
   const auto mn = parse_double(min_s), mx = parse_double(max_s);
   check(mn.has_value() && mx.has_value(), "qsketch: bad min/max in '" + line + "'");
   s.min_ = *mn;
@@ -139,12 +143,16 @@ QuantileSketch QuantileSketch::deserialize(const std::string& line) {
   while (is >> bin) {
     const auto colon = bin.find(':');
     check(colon != std::string::npos, "qsketch: bad bin '" + bin + "'");
-    const int32_t index = static_cast<int32_t>(std::stol(bin.substr(0, colon)));
-    const std::uint64_t c = std::stoull(bin.substr(colon + 1));
-    check(c > 0 && s.bins_.find(index) == s.bins_.end(),
-          "qsketch: duplicate or empty bin '" + bin + "'");
-    s.bins_[index] = c;
-    binned += c;
+    const auto index = parse_integer(bin.substr(0, colon), INT32_MIN, INT32_MAX);
+    const auto c = parse_integer(bin.substr(colon + 1), 1, LLONG_MAX);
+    check(index.has_value() && c.has_value(), "qsketch: bad bin '" + bin + "'");
+    check(s.bins_.find(static_cast<int32_t>(*index)) == s.bins_.end(),
+          "qsketch: duplicate bin '" + bin + "'");
+    s.bins_[static_cast<int32_t>(*index)] = static_cast<std::uint64_t>(*c);
+    // Each term is below 2^63 and the running sum stays <= count_, so the
+    // sum cannot wrap.
+    binned += static_cast<std::uint64_t>(*c);
+    check(binned <= s.count_, "qsketch: count mismatch in '" + line + "'");
   }
   check(s.zero_count_ + binned == s.count_, "qsketch: count mismatch in '" + line + "'");
   return s;

@@ -65,6 +65,26 @@ TEST(Cli, IntMinRejectsGarbageAndBelowMin) {
   EXPECT_EQ(jobs, 4);
 }
 
+TEST(Cli, IntMinRejectsValuesPastInt) {
+  // 2^32 + 1 must not wrap to 1 on the cast to int; parse-only, nothing runs.
+  int jobs = 7;
+  CliParser p("t", "s");
+  p.int_min("--jobs", "N", "workers", &jobs, 1);
+  EXPECT_EQ(run(p, {"--jobs", "4294967297"}), 2);
+  EXPECT_EQ(jobs, 7);
+}
+
+TEST(Cli, LongIntMinTakesTheLongRange) {
+  long cap = 5;
+  CliParser p("t", "s");
+  p.int_min("--cap", "N", "capacity", &cap, 1);
+  EXPECT_EQ(run(p, {"--cap", "1e30"}), 2);
+  EXPECT_EQ(run(p, {"--cap", "0"}), 2);
+  EXPECT_EQ(cap, 5);
+  EXPECT_EQ(run(p, {"--cap", "4294967297"}), -1);
+  EXPECT_EQ(cap, 4294967297L);
+}
+
 TEST(Cli, NumRejectsGarbage) {
   double v = 1.5;
   CliParser p("t", "s");

@@ -94,6 +94,15 @@ TEST(ContractEnum, MalformedWorldLinesThrow) {
   EXPECT_THROW(parse_relock_world("world id=0"), Error);
 }
 
+TEST(ContractEnum, DuplicateKeysCannotStandInForMissingOnes) {
+  // One key twice and one key missing keeps the field count right; the
+  // missing field must not silently take its default.
+  EXPECT_THROW(parse_world("world id=0 id=0 src=const:w=1e-3 cap=1e-6 von=3 period=0.1 "
+                           "dl=0.1 sched=adaptive"),
+               Error);
+  EXPECT_THROW(parse_relock_world("relock id=0 p1=0.4 p1=0.5 p2=0.8 hi=3e-3"), Error);
+}
+
 TEST(ContractEnum, RunWorldReportsPerJobTwinEvidence) {
   // The empirically-verified stage-2 recipe (see CONTRACTS.md): a lock
   // world whose periodic forecaster confirms the square's period mid-run

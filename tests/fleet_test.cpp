@@ -232,6 +232,12 @@ TEST(Fleet, MergeRejectsTamperedPartials) {
       {"job outside the shard", &full, "job 2 ", "job 4 "},
       {"jobs out of order", &full, "job 2 ", "job 0 "},
       {"job without a row", &full, "row 2 ", ""},
+      // Sketch fields parse through the shared integer check: garbage is
+      // an ehdnn::Error naming the file, not a std::invalid_argument.
+      {"unparseable sketch count", &full, "sketch latency qsketch-v1 ",
+       "sketch latency qsketch-v1 rel_err=0.01 abc "},
+      {"unparseable sketch count (aggregate)", &aggregate, "sketch staleness qsketch-v1 ",
+       "sketch staleness qsketch-v1 rel_err=0.01 abc "},
   };
   const std::string shard0 = testing::TempDir() + "tamper_0.part";
   const std::string shard1 = testing::TempDir() + "tamper_1.part";

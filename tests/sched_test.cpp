@@ -87,6 +87,14 @@ TEST(Forecast, FactoryParsesSpecs) {
   EXPECT_FALSE(forecaster_kinds().empty());
 }
 
+TEST(Forecast, SpecsRejectDuplicateAndEmptyKeys) {
+  // A duplicate key is an error, not "last wins"; an empty forwarded
+  // value reaches the forecaster's number check instead of vanishing.
+  EXPECT_THROW(make_forecaster("ema:alpha=0.5,alpha=0.6"), Error);
+  EXPECT_THROW(parse_adaptive_spec("adaptive:rich=1e-3,rich=2e-3"), Error);
+  EXPECT_THROW(parse_adaptive_spec("adaptive:prior="), Error);
+}
+
 TEST(Forecast, PeriodicFallsBackToEmaUntilLocked) {
   // A constant stream never confirms a period: the periodic forecaster
   // must behave exactly like the EMA it wraps.
@@ -485,6 +493,16 @@ group name=lean count=3 task=har runtime=flex cap=5e-6 jobs=1 period=0.4 max_off
   EXPECT_EQ(cfg.groups[1].max_reboots, 5000);
   EXPECT_EQ(cfg.groups[1].fram_words, 300000u);
   EXPECT_EQ(cfg.total_devices(), 7);
+}
+
+TEST(FleetConfig, RejectsDuplicateSpecKeysAndSignedSeeds) {
+  auto parse = [](const std::string& text) {
+    std::istringstream is(text);
+    return sim::parse_fleet_config(is);
+  };
+  EXPECT_THROW(parse("group count=1 runtime=tile:t=4,t=8\n"), Error);
+  EXPECT_THROW(parse("group count=1 runtime=adaptive sched=adaptive:rich=1,rich=2\n"), Error);
+  EXPECT_THROW(parse("fleet seed=-1\ngroup count=1\n"), Error);  // no wrap to 2^64-1
 }
 
 TEST(FleetConfig, RejectsMalformedEntries) {

@@ -133,6 +133,23 @@ TEST(QuantileSketch, RoundTripsThroughText) {
   EXPECT_THROW(QuantileSketch::deserialize("qsketch-v1 rel_err=0.01 2 0 0 1 5:1"), Error);
 }
 
+TEST(QuantileSketch, DeserializeRejectsBadIntegerFields) {
+  // Shard partials carry sketches, so every integer field is untrusted:
+  // garbage must raise ehdnn::Error (not std::invalid_argument), and a
+  // bin index past int32 must not truncate onto another bin.
+  for (const char* line : {
+           "qsketch-v1 rel_err=0.01 abc 0 1 1 0:1",
+           "qsketch-v1 rel_err=0.01 1 abc 1 1 0:1",
+           "qsketch-v1 rel_err=0.01 1 0 1 1 abc:1",
+           "qsketch-v1 rel_err=0.01 1 0 1 1 0:abc",
+           "qsketch-v1 rel_err=0.01 1 0 1 1 4294967296:1",
+           "qsketch-v1 rel_err=0.01 1 0 1 1 0:99999999999999999999",
+           "qsketch-v1 rel_err=0.01 1 0 1 1 0:1.5",
+       }) {
+    EXPECT_THROW(QuantileSketch::deserialize(line), Error) << line;
+  }
+}
+
 TEST(QuantileSketch, RepeatedValueStreamCollapsesToOneBin) {
   // A fleet where every job takes identical time (the lockstep-device
   // degenerate case): the whole stream lands in one log bin, and every

@@ -148,6 +148,13 @@ TEST(Factory, RejectsBadSpecs) {
   EXPECT_THROW(make_harvest_source("trace:path=/no/such.csv,interp=cubic"), Error);
 }
 
+TEST(Factory, RejectsDuplicateKeysAndOutOfRangeSeeds) {
+  EXPECT_THROW(make_harvest_source("const:w=1,w=2"), Error);  // duplicate key
+  EXPECT_THROW(make_harvest_source("rf:seed=-1"), Error);     // negative seed (UB cast)
+  EXPECT_THROW(make_harvest_source("rf:seed=1e30"), Error);
+  EXPECT_THROW(make_harvest_source("rf:seed=2.5"), Error);
+}
+
 TEST(ScenarioArg, ParsesNameSourceAndOptions) {
   const auto sc = sim::parse_scenario_arg(
       "office=trace:path=traces/rf_office.csv;cap=4.7e-5;max_off=2;reboots=500");
@@ -163,6 +170,12 @@ TEST(ScenarioArg, RejectsMalformed) {
   EXPECT_THROW(sim::parse_scenario_arg("name="), Error);
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;volts=3"), Error);  // unknown option
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=tiny"), Error);
+}
+
+TEST(ScenarioArg, RejectsNonIntegralAndDuplicateOptions) {
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=1e30"), Error);  // UB cast
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;reboots=2.5"), Error);   // truncated
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=1e-6;cap=2e-6"), Error);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 // devices — homogeneous via flags, heterogeneous and duty-cycled via a
 // fleet config file — one device at a time per worker, and writes
 // FLEET.json (schema ehdnn-fleet-v6; see BENCHMARKS.md "Fleet" and
-// "Observability"). Run from the repo root so trace paths resolve:
+// "Observability"). The population flags (--devices ... --seed) are config
+// keys: they fill a one-group config (`fleet ...` / `group name=fleet
+// count=64 ...`) that goes through the same parser as a --config file, and
+// --help names the key each flag sets. Run from the repo root so trace
+// paths resolve:
 //
 //   ./build/fleet_runner --out FLEET.json               # 64-dev office RF
 //   ./build/fleet_runner --config configs/fleet_hetero.cfg --jobs 4
@@ -24,12 +28,12 @@
 //   ./build/fleet_runner --merge --out FLEET.json s0.part s1.part s2.part s3.part
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "models/zoo.h"
 #include "obs/export.h"
 #include "sim/fleet.h"
 #include "sim/fleet_flags.h"
@@ -50,15 +54,16 @@ int main(int argc, char** argv) {
   bool merge = false;
   std::vector<std::string> merge_inputs;
 
-  // Homogeneous flag-built config; mutually exclusive with --config (a
-  // silently ignored --seed or --devices would be worse than an error).
-  sim::FleetGroup flag_group;
-  flag_group.name = "fleet";
-  flag_group.count = 64;
-  sim::FleetConfig flag_cfg;
+  // Homogeneous population flags: each sets one key of a synthesized
+  // config (`fleet ...` / `group name=fleet count=64 ...`) that
+  // sim::parse_fleet_config reads like a file, so a flag and its config
+  // key cannot disagree. Mutually exclusive with --config (a silently
+  // ignored --seed or --devices would be worse than an error).
+  std::map<std::string, std::string> fleet_keys;
+  std::map<std::string, std::string> group_keys = {{"name", "fleet"}, {"count", "64"}};
   std::string population_flag;  // last population flag seen
 
-  std::string trace_out, trace_text_out, trace_devices_arg;
+  std::string trace_out, trace_text_out;
 
   CliParser p("fleet_runner",
               "Runs a fleet of independent intermittent devices against time-offset\n"
@@ -75,96 +80,58 @@ int main(int argc, char** argv) {
   p.int_min("--shards", "N", "split the population into N process shards", &shards, 1);
   p.int_min("--shard", "I", "run shard I (0-based) and write its partial", &shard, 0);
   p.toggle("--merge", "merge shard partials (the bare arguments) into JSON", &merge);
-  // The homogeneous-population flags; each remembers itself for the
-  // --config conflict diagnostic.
-  auto pop = [&](const char* flag, auto set) {
-    return [&population_flag, flag, set](const std::string& v) {
-      population_flag = flag;
-      set(v);
-    };
+  struct PopulationFlag {
+    const char* flag;
+    const char* metavar;
+    const char* help;
+    bool fleet_line;  // else the group line
+    const char* key;
   };
-  auto to_num = [](const char* flag, const std::string& v) {
-    const auto d = parse_double(v);
-    check(d.has_value(), std::string(flag) + " needs a number, got \"" + v + "\"");
-    return *d;
+  static constexpr PopulationFlag kPopulationFlags[] = {
+      {"--devices", "N", "population size", false, "count"},
+      {"--task", "mnist|har|okg", "inference task", false, "task"},
+      {"--runtime", "KEY", "runtime key, see --list-runtimes", false, "runtime"},
+      {"--source", "SPEC", "harvest source spec", true, "source"},
+      {"--cap", "FARADS", "per-device capacitance", false, "cap"},
+      {"--max-off", "S", "max continuous off-time before starving", false, "max_off"},
+      {"--njobs", "N", "jobs per device agenda", false, "jobs"},
+      {"--period", "S", "agenda release period", false, "period"},
+      {"--deadline", "S", "per-job deadline", false, "deadline"},
+      {"--spread", "S", "harvest offset spread over the population", true, "spread"},
+      {"--seed", "N", "population seed", true, "seed"},
   };
-  p.value("--devices", "N", "population size (flag-built fleets)",
-          pop("--devices", [&](const std::string& v) {
-            flag_group.count = static_cast<int>(to_num("--devices", v));
-            check(flag_group.count >= 1, "--devices needs a positive integer");
-          }));
-  p.value("--task", "mnist|har|okg", "inference task",
-          pop("--task",
-              [&](const std::string& v) { flag_group.task = models::parse_task(v); }));
-  p.value("--runtime", "KEY", "runtime key (see --list-runtimes)",
-          pop("--runtime", [&](const std::string& v) { flag_group.agenda.runtime = v; }));
-  p.value("--source", "SPEC", "harvest source spec",
-          pop("--source", [&](const std::string& v) { flag_cfg.source = v; }));
-  p.value("--cap", "FARADS", "per-device capacitance",
-          pop("--cap",
-              [&](const std::string& v) { flag_group.capacitance_f = to_num("--cap", v); }));
-  p.value("--max-off", "S", "starvation guard (max continuous off-time)",
-          pop("--max-off",
-              [&](const std::string& v) { flag_group.max_off_s = to_num("--max-off", v); }));
-  p.value("--njobs", "N", "jobs per device agenda",
-          pop("--njobs", [&](const std::string& v) {
-            flag_group.agenda.jobs = static_cast<int>(to_num("--njobs", v));
-          }));
-  p.value("--period", "S", "agenda release period",
-          pop("--period",
-              [&](const std::string& v) { flag_group.agenda.period_s = to_num("--period", v); }));
-  p.value("--deadline", "S", "per-job deadline",
-          pop("--deadline", [&](const std::string& v) {
-            flag_group.agenda.deadline_s = to_num("--deadline", v);
-          }));
-  p.value("--spread", "S", "harvest offset spread across the population",
-          pop("--spread",
-              [&](const std::string& v) { flag_cfg.offset_spread_s = to_num("--spread", v); }));
-  p.value("--seed", "N", "population seed",
-          pop("--seed", [&](const std::string& v) {
-            flag_cfg.seed = std::strtoull(v.c_str(), nullptr, 0);
-          }));
+  for (const PopulationFlag& f : kPopulationFlags) {
+    const std::string line = f.fleet_line ? "fleet" : "group";
+    p.value(f.flag, f.metavar, std::string(f.help) + " (config: " + line + " " + f.key + "=)",
+            [&, f](const std::string& v) {
+              // Whitespace or '#' would split or cut the synthesized line.
+              check(v.find_first_of(" \t\n\v\f\r#") == std::string::npos,
+                    std::string(f.flag) + " value must not contain whitespace or '#', got \"" +
+                        v + "\"");
+              population_flag = f.flag;
+              (f.fleet_line ? fleet_keys : group_keys)[f.key] = v;
+            });
+  }
   p.toggle("--quiet", "suppress the per-device progress lines", &ropts.verbose, false);
   bool profile = false;
   p.toggle("--profile", "print a host wall-clock phase breakdown (serial runs)",
            &profile);
-  p.str("--trace-devices", "ID[,ID...]",
-        "device ids whose lifecycle event rings are retained for export",
-        &trace_devices_arg);
+  p.value("--trace-devices", "ID[,ID...]",
+          "device ids whose lifecycle event rings are retained for export",
+          [&](const std::string& v) {
+            ropts.trace_devices = parse_id_list(v, "--trace-devices");
+          });
   p.str("--trace-out", "FILE",
         "write the retained rings as Chrome trace_event JSON (Perfetto)", &trace_out);
   p.str("--trace-text-out", "FILE",
         "write the retained rings as the deterministic text dump", &trace_text_out);
-  p.value("--trace-capacity", "N", "events retained per traced device",
-          [&](const std::string& v) {
-            ropts.trace_capacity = static_cast<long>(to_num("--trace-capacity", v));
-            check(ropts.trace_capacity >= 1, "--trace-capacity needs a positive integer");
-          });
+  p.int_min("--trace-capacity", "N", "events retained per traced device",
+            &ropts.trace_capacity, 1);
   add_listing_flags(p);
   p.positionals("PARTIAL", "shard partial files to --merge",
                 [&](const std::string& v) { merge_inputs.push_back(v); });
 
   if (const int rc = p.parse(argc, argv); rc >= 0) return rc;
-
-  // Comma-separated trace selection -> FleetRunOptions::trace_devices.
-  if (!trace_devices_arg.empty()) {
-    std::size_t pos = 0;
-    while (pos <= trace_devices_arg.size()) {
-      std::size_t comma = trace_devices_arg.find(',', pos);
-      if (comma == std::string::npos) comma = trace_devices_arg.size();
-      const std::string item = trace_devices_arg.substr(pos, comma - pos);
-      pos = comma + 1;
-      const auto d = parse_double(item);
-      if (!d.has_value() || *d < 0 || *d != static_cast<double>(static_cast<int>(*d))) {
-        std::fprintf(stderr,
-                     "fleet_runner: --trace-devices needs comma-separated device ids, "
-                     "got \"%s\"\n",
-                     item.c_str());
-        return 2;
-      }
-      ropts.trace_devices.push_back(static_cast<int>(*d));
-    }
-  }
 
   // One table-tested conflict matrix (sim/fleet_flags.h) instead of
   // checks scattered across the three mode branches below.
@@ -182,9 +149,24 @@ int main(int argc, char** argv) {
     fs.jobs = ropts.jobs;
     fs.have_trace_out = !trace_out.empty();
     fs.have_trace_text_out = !trace_text_out.empty();
-    fs.have_trace_devices = !trace_devices_arg.empty();
+    fs.have_trace_devices = !ropts.trace_devices.empty();
     if (const std::string err = sim::validate_fleet_flags(fs); !err.empty()) {
       std::fprintf(stderr, "fleet_runner: %s\n", err.c_str());
+      return 2;
+    }
+  }
+
+  sim::FleetConfig cfg;
+  if (!merge && config_path.empty()) {
+    std::string text = "fleet";
+    for (const auto& [k, v] : fleet_keys) text += " " + k + "=" + v;
+    text += "\ngroup";
+    for (const auto& [k, v] : group_keys) text += " " + k + "=" + v;
+    std::istringstream is(text);
+    try {
+      cfg = sim::parse_fleet_config(is);
+    } catch (const Error& e) {
+      std::fprintf(stderr, "fleet_runner: population flags: %s\n", e.what());
       return 2;
     }
   }
@@ -220,13 +202,7 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    sim::FleetConfig cfg;
-    if (!config_path.empty()) {
-      cfg = sim::parse_fleet_config_file(config_path);
-    } else {
-      flag_cfg.groups.push_back(flag_group);
-      cfg = flag_cfg;
-    }
+    if (!config_path.empty()) cfg = sim::parse_fleet_config_file(config_path);
 
     if (shard >= 0 || shards > 1) {
       std::ofstream f(out_path);

@@ -18,7 +18,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -31,16 +30,6 @@
 namespace {
 
 using namespace ehdnn;
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 std::vector<sim::ScenarioSpec> default_scenarios(bool with_traces) {
   std::vector<std::string> args = {
@@ -106,7 +95,7 @@ int main(int argc, char** argv) {
   sim::SweepOptions opts;
   opts.verbose = true;
 
-  std::string trace_out, trace_text_out, trace_cells_arg;
+  std::string trace_out, trace_text_out;
 
   CliParser p("scenario_runner",
               "Sweeps runtimes x models x power scenarios and writes SCENARIOS.json\n"
@@ -115,11 +104,11 @@ int main(int argc, char** argv) {
   p.value("--tasks", "mnist,har,okg", "comma-separated task list",
           [&](const std::string& v) {
             tasks.clear();
-            for (const auto& t : split_csv(v)) tasks.push_back(models::parse_task(t));
+            for (const auto& t : split(v, ',')) tasks.push_back(models::parse_task(t));
           });
   p.value("--runtimes", "KEY,KEY,...",
           "runtime keys to sweep (see --list-runtimes; default all)",
-          [&](const std::string& v) { runtimes = split_csv(v); });
+          [&](const std::string& v) { runtimes = split(v, ','); });
   p.value("--scenario", "NAME=SPEC[;cap=F][;max_off=S][;reboots=N][;max_futile=N]",
           "add a power scenario (repeatable; default built-in set)",
           [&](const std::string& v) { scenarios.push_back(sim::parse_scenario_arg(v)); });
@@ -133,36 +122,17 @@ int main(int argc, char** argv) {
   bool profile = false;
   p.toggle("--profile", "print a host wall-clock phase breakdown (serial sweeps)",
            &profile);
-  p.str("--trace-cells", "I[,I...]",
-        "cell indices whose lifecycle event rings are retained for export",
-        &trace_cells_arg);
+  p.value("--trace-cells", "I[,I...]",
+          "cell indices whose lifecycle event rings are retained for export",
+          [&](const std::string& v) { opts.trace_cells = parse_id_list(v, "--trace-cells"); });
   p.str("--trace-out", "FILE",
         "write the retained rings as Chrome trace_event JSON (Perfetto)", &trace_out);
   p.str("--trace-text-out", "FILE",
         "write the retained rings as the deterministic text dump", &trace_text_out);
-  p.value("--trace-capacity", "N", "events retained per traced cell",
-          [&](const std::string& v) {
-            const auto d = parse_double(v);
-            check(d.has_value() && *d >= 1,
-                  "--trace-capacity needs a positive integer, got \"" + v + "\"");
-            opts.trace_capacity = static_cast<long>(*d);
-          });
+  p.int_min("--trace-capacity", "N", "events retained per traced cell", &opts.trace_capacity,
+            1);
   add_listing_flags(p);
   if (const int rc = p.parse(argc, argv); rc >= 0) return rc;
-
-  if (!trace_cells_arg.empty()) {
-    for (const auto& item : split_csv(trace_cells_arg)) {
-      const auto d = parse_double(item);
-      if (!d.has_value() || *d < 0 || *d != static_cast<double>(static_cast<int>(*d))) {
-        std::fprintf(stderr,
-                     "scenario_runner: --trace-cells needs comma-separated cell "
-                     "indices, got \"%s\"\n",
-                     item.c_str());
-        return 2;
-      }
-      opts.trace_cells.push_back(static_cast<int>(*d));
-    }
-  }
 
   if (smoke_sched) {
     // Scheduling smoke (ctest sched_smoke, run from the repo root): both
