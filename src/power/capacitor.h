@@ -176,7 +176,8 @@ class CapacitorSupply : public dev::PowerSupply {
   // Batch settlement for the device's prepaid-headroom window: the exact
   // per-event arithmetic of consume(), with the harvest power read from
   // the hardened income-segment cache instead of a virtual power_at per
-  // draw.
+  // draw. A source that opts out of segments hands the rest of the
+  // window to consume_run, which reads it through power_run.
   std::size_t consume_batch(const dev::SpendEvent* ev, std::size_t n) override {
     const double e_max = energy_at(cfg_.v_max);
     const double e_off = energy_at(cfg_.v_off);
@@ -191,6 +192,11 @@ class CapacitorSupply : public dev::PowerSupply {
         now_ = t;  // the segment recompute reads the supply clock
         seg_p = seg_p_ = source_.power_at(t);
         seg_end = seg_end_ = hardened_segment_end(seg_p);
+        if (!(t < seg_end)) {
+          energy_ = e;
+          on_time_ = on_t;
+          return i + consume_run(ev + i, n - i);
+        }
       }
       e = std::min(e + seg_p * ev[i].dt, e_max);
       t += ev[i].dt;
@@ -337,6 +343,46 @@ class CapacitorSupply : public dev::PowerSupply {
       seg_end_ = hardened_segment_end(seg_p_);
     }
     return seg_p_;
+  }
+
+  // consume_batch for a source with no constant segment to cache: the
+  // events' start times are known up front (the same `t += dt` chain), so
+  // each chunk of them is priced by one power_run. Same arithmetic, same
+  // order; the chunk buffers live on the stack.
+  std::size_t consume_run(const dev::SpendEvent* ev, std::size_t n) {
+    constexpr std::size_t kChunk = 256;
+    const double e_max = energy_at(cfg_.v_max);
+    const double e_off = energy_at(cfg_.v_off);
+    double e = energy_, t = now_, on_t = on_time_;
+    double ts[kChunk], ps[kChunk];
+    for (std::size_t base = 0; base < n; base += kChunk) {
+      const std::size_t m = std::min(kChunk, n - base);
+      const dev::SpendEvent* chunk = ev + base;
+      double tc = t;
+      for (std::size_t k = 0; k < m; ++k) {
+        ts[k] = tc;
+        tc += chunk[k].dt;
+      }
+      source_.power_run(ts, ps, m);
+      for (std::size_t k = 0; k < m; ++k) {
+        e = std::min(e + ps[k] * chunk[k].dt, e_max);
+        t += chunk[k].dt;
+        on_t += chunk[k].dt;
+        e -= chunk[k].joules;
+        if (e < e_off) {
+          energy_ = std::max(e, 0.0);
+          now_ = t;
+          on_time_ = on_t;
+          on_ = false;
+          ++failures_;
+          return base + k;
+        }
+      }
+    }
+    energy_ = e;
+    now_ = t;
+    on_time_ = on_t;
+    return n;
   }
 
   // Harden a source's segment-end candidate into an end the cache can

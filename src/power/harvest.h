@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <numbers>
 #include <vector>
@@ -37,6 +38,17 @@ class HarvestSource {
   // interpolated traces) are automatically excluded from the analytic
   // recharge fast path in CapacitorSupply.
   virtual double next_change_s(double t) const { return t; }
+
+  // Batch query: p[k] = power_at(t[k]) for k < n, bit for bit, over a
+  // non-decreasing run of times. The supply settles opted-out sources
+  // (next_change_s(t) == t) through this call once per chunk of events
+  // instead of once per event, so overrides may amortize lookups along
+  // the run, but every piece of state they carry must live on the stack:
+  // one source is shared by every device of a fleet, across threads.
+  // `t` and `p` may be the same array (in-place).
+  virtual void power_run(const double* t, double* p, std::size_t n) const {
+    for (std::size_t k = 0; k < n; ++k) p[k] = power_at(t[k]);
+  }
 };
 
 class ConstantSource : public HarvestSource {
@@ -208,6 +220,12 @@ class TimeOffsetSource : public HarvestSource {
     if (std::isinf(inner_next)) return inner_next;
     if (!(inner_next > t + offset_)) return t;  // inner opted out
     return inner_next - offset_;
+  }
+  // Shifts the run in place through `p` (the same t + offset_ power_at
+  // adds) and forwards it: the inner source sees one run, not n calls.
+  void power_run(const double* t, double* p, std::size_t n) const override {
+    for (std::size_t k = 0; k < n; ++k) p[k] = t[k] + offset_;
+    inner_.power_run(p, p, n);
   }
   double offset() const { return offset_; }
 

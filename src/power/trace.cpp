@@ -133,6 +133,61 @@ double TraceHarvestSource::power_at(double t) const {
   return scale_ * (a.watts + frac * (b.watts - a.watts));
 }
 
+void TraceHarvestSource::power_run(const double* t, double* p, std::size_t n) const {
+  const auto& pts = trace_.points;
+  const double t0 = pts.front().t;
+  const double t_last = pts.back().t;
+  const double span = trace_.span_s();
+  const bool wrap = loop_ && span > 0.0;
+  // Cycle base m*span held as an error-free pair: base_hi + base_lo ==
+  // m*span exactly. For t in [m*span, (m+1)*span), t - base_hi is exact
+  // (Sterbenz; m == 0 and m == 1 have base_lo == 0), so the second
+  // subtraction rounds the exactly representable fmod(t, span) and
+  // returns it unchanged. With any other m the true difference lies
+  // outside [0, span) and so does its rounding, which sends the sample
+  // back to fmod and rebases.
+  double base_hi = 0.0, base_lo = 0.0;
+  std::size_t hi = 1;  // cursor: pts[hi-1].t <= u < pts[hi].t once searched
+  for (std::size_t k = 0; k < n; ++k) {
+    const double tk = t[k];
+    double u = tk;
+    if (wrap) {
+      u = (tk - base_hi) - base_lo;
+      if (!(u >= 0.0 && u < span)) {
+        u = std::fmod(tk, span);
+        if (u < 0.0) u += span;
+        if (tk >= 0.0) {  // negative t keeps power_at's rounded wrap above
+          const double m = std::nearbyint((tk - u) / span);
+          base_hi = m * span;
+          base_lo = std::fma(m, span, -base_hi);
+        }
+      }
+    }
+    u += t0;
+    double w;
+    if (u <= t0) {
+      w = pts.front().watts;
+    } else if (u >= t_last) {
+      w = pts.back().watts;
+    } else {
+      if (!(pts[hi - 1].t <= u && u < pts[hi].t)) {
+        const auto it = std::upper_bound(pts.begin(), pts.end(), u,
+                                         [](double v, const TracePoint& q) { return v < q.t; });
+        hi = static_cast<std::size_t>(it - pts.begin());
+      }
+      const TracePoint& a = pts[hi - 1];
+      if (interp_ == TraceInterp::kZeroOrderHold) {
+        w = a.watts;
+      } else {
+        const TracePoint& b = pts[hi];
+        const double frac = (u - a.t) / (b.t - a.t);
+        w = a.watts + frac * (b.watts - a.watts);
+      }
+    }
+    p[k] = scale_ * w;
+  }
+}
+
 double TraceHarvestSource::next_change_s(double t) const {
   if (interp_ != TraceInterp::kZeroOrderHold) return t;  // continuous: opt out
   if (t < 0.0) return t;

@@ -58,8 +58,14 @@ class TraceHarvestSource : public HarvestSource {
   double power_at(double t) const override;
   // Piecewise-constant only under zero-order hold: boundaries fall on the
   // trace's sample times (and the loop seam). Linear interpolation varies
-  // continuously, so it opts out (returns t).
+  // continuously, so it opts out (returns t) and its draws settle through
+  // power_run instead of the supply's segment cache.
   double next_change_s(double t) const override;
+  // power_at's arithmetic along a run, with a sample cursor and a cycle
+  // base kept on the stack: the binary search runs only when the local
+  // time leaves the cursor's interval, and the loop residue fmod(t, span)
+  // comes from an exact two-subtraction form until t crosses a seam.
+  void power_run(const double* t, double* p, std::size_t n) const override;
 
   double span_s() const { return trace_.span_s(); }
   bool loops() const { return loop_; }

@@ -49,6 +49,7 @@ double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
 void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
   check(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
+  power::make_harvest_source(cfg.source);  // throws on a malformed spec
   std::set<std::string> names;
   for (const auto& g : cfg.groups) {
     const std::string where = "fleet group \"" + g.name + "\"";

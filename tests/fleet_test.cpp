@@ -312,6 +312,19 @@ TEST(Fleet, DutyCycledAgendaReleasesOnSchedule) {
   }
 }
 
+TEST(Fleet, ParseRejectsMalformedSourceSpec) {
+  // The harvest source spec is built at parse time, like sched=, so a bad
+  // one is a config error rather than a failure once the fleet runs.
+  for (const char* text : {"fleet source=const:w=1e-3,w=2e-3\ngroup count=1\n",
+                           "fleet source=warp:w=1\ngroup count=1\n",
+                           "fleet source=trace:path=/no/such.csv\ngroup count=1\n"}) {
+    std::istringstream is(text);
+    EXPECT_THROW(parse_fleet_config(is), Error) << text;
+  }
+  std::istringstream ok("fleet source=const:w=2e-3\ngroup count=1\n");
+  EXPECT_EQ(parse_fleet_config(ok).source, "const:w=2e-3");
+}
+
 TEST(Fleet, RejectsUnknownRuntime) {
   FleetConfig cfg = tiny_fleet();
   cfg.groups[0].agenda.runtime = "warp-drive";

@@ -1,9 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <sstream>
+#include <vector>
+
 #include "power/capacitor.h"
 #include "power/continuous.h"
 #include "power/harvest.h"
 #include "power/monitor.h"
+#include "power/trace.h"
+#include "util/rng.h"
 
 namespace ehdnn::power {
 namespace {
@@ -168,6 +177,52 @@ TEST(Capacitor, SquareWaveProducesBursts) {
   EXPECT_EQ(cap.failures(), failures);
   EXPECT_GT(cap.off_time(), 0.0);
   EXPECT_GT(cap.on_time(), 0.0);
+}
+
+// consume_batch is consume() per event in order, bit for bit: over
+// constant-segment sources (segment cache) and opted-out ones (power_run),
+// across windows that straddle segment ends, and through a window that
+// browns out midway.
+TEST(Capacitor, BatchMatchesPerEventConsume) {
+  std::istringstream csv(
+      "0.0,2e-4\n0.0281,5.9e-3\n0.0376,1.9e-4\n0.0679,6e-3\n0.1110,2.2e-4\n"
+      "0.1818,6.5e-3\n0.3535,6.8e-3\n0.4910,1.7e-4\n0.9358,2.2e-4\n0.9869,4.8e-3\n");
+  const TraceHarvestSource trace(parse_trace_csv(csv));
+  const ConstantSource constant(2e-3);
+  const SquareSource square(8e-3, 0.0, 0.013, 0.4);
+  const TimeOffsetSource offset(trace, 12345.678);
+  const SineSource sine(3e-3, 2e-3, 0.05);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+
+  for (const HarvestSource* src :
+       std::initializer_list<const HarvestSource*>{&constant, &square, &trace, &offset, &sine}) {
+    CapacitorSupply batch(*src), single(*src);
+    Rng rng(7);
+    bool browned_out = false;
+    for (int w = 0; w < 12; ++w) {
+      // Every fourth window draws ~10x harder and empties the capacitor.
+      const double load_w = w % 4 == 3 ? 0.1 : 5e-3;
+      std::vector<dev::SpendEvent> ev(4096);
+      for (auto& e : ev) {
+        e.dt = std::pow(10.0, rng.uniform(-7.0, -4.0));
+        e.joules = load_w * e.dt * rng.uniform(0.5, 1.5);
+      }
+      const std::size_t got = batch.consume_batch(ev.data(), ev.size());
+      std::size_t want = 0;
+      while (want < ev.size() && single.consume(ev[want].joules, ev[want].dt)) ++want;
+      ASSERT_EQ(got, want) << "window " << w;
+      ASSERT_EQ(bits(batch.headroom()), bits(single.headroom())) << "window " << w;
+      ASSERT_EQ(bits(batch.now()), bits(single.now())) << "window " << w;
+      ASSERT_EQ(bits(batch.on_time()), bits(single.on_time())) << "window " << w;
+      ASSERT_EQ(batch.failures(), single.failures()) << "window " << w;
+      if (got < ev.size()) {
+        browned_out = browned_out || got > 0;
+        batch.recharge_to_on();
+        single.recharge_to_on();
+      }
+    }
+    EXPECT_TRUE(browned_out);  // some window failed midway, not at event 0
+  }
 }
 
 TEST(Continuous, NeverFails) {

@@ -4,12 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <memory>
 #include <sstream>
+#include <vector>
 
 #include "power/factory.h"
 #include "power/trace.h"
 #include "sim/scenario.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace ehdnn::power {
 namespace {
@@ -122,6 +127,61 @@ TEST(TraceSourceReplay, ScaleMultipliesPower) {
   TraceHarvestSource s(parse("0.0,1e-3\n1.0,3e-3\n"), TraceInterp::kLinear,
                        /*loop=*/false, /*scale=*/2.0);
   EXPECT_DOUBLE_EQ(s.power_at(0.5), 4e-3);
+}
+
+// power_run is power_at over a run, bit for bit: every interpolation and
+// loop mode, spans that are no exact multiple of anything (rf_office's
+// 0.9869 s), runs starting at negative t or crossing hundreds of seams,
+// offset views up to 1e7 s, and dt from 1e-9 to 1e-1.
+TEST(Trace, PowerRunMatchesPowerAt) {
+  Rng rng(20261019);
+  // A 57-point trace shaped like traces/rf_office.csv: jittered sample
+  // times on a 1e-4 s grid, spanning 0.9869 s.
+  PowerTrace rf;
+  for (int i = 0; i <= 56; ++i) {
+    const double jitter = i == 0 || i == 56 ? 0.0 : rng.uniform(-0.005, 0.005);
+    rf.points.push_back({std::round((i * 0.9869 / 56 + jitter) * 1e4) / 1e4,
+                         rng.uniform(1e-4, 7e-3)});
+  }
+  PowerTrace late = parse("10.0,1e-3\n10.3,3e-3\n10.7,0\n11.1,1e-3\n");
+
+  std::vector<std::unique_ptr<HarvestSource>> sources;
+  for (const PowerTrace* tr : {&rf, &late}) {
+    for (TraceInterp interp : {TraceInterp::kLinear, TraceInterp::kZeroOrderHold}) {
+      for (bool loop : {true, false}) {
+        sources.push_back(std::make_unique<TraceHarvestSource>(*tr, interp, loop, 1.5));
+      }
+    }
+  }
+  const std::size_t n_traces = sources.size();
+  for (std::size_t i = 0; i < n_traces; ++i) {
+    for (double off : {0.37, 12345.678, 9999999.25}) {
+      sources.push_back(std::make_unique<TimeOffsetSource>(*sources[i], off));
+    }
+  }
+
+  constexpr std::size_t kRun = 1500;
+  std::vector<double> ts(kRun), run(kRun), oracle(kRun);
+  for (const auto& src : sources) {
+    for (int r = 0; r < 40; ++r) {
+      // Starts: negative, on a seam (a product of the span), or anywhere
+      // up to 1e6 s; dt log-uniform in [1e-9, 1e-1], jittered per event.
+      const double scale = std::pow(10.0, rng.uniform(-9.0, -1.0));
+      double tk = r % 4 == 0   ? rng.uniform(-3.0, 0.0)
+                  : r % 4 == 1 ? rng.range(0, 5000) * 0.9869
+                               : rng.uniform(0.0, 1e6);
+      for (std::size_t k = 0; k < kRun; ++k) {
+        ts[k] = tk;
+        tk += scale * rng.uniform(0.5, 1.5);
+      }
+      for (std::size_t k = 0; k < kRun; ++k) oracle[k] = src->power_at(ts[k]);
+      src->power_run(ts.data(), run.data(), kRun);
+      ASSERT_EQ(std::memcmp(run.data(), oracle.data(), kRun * sizeof(double)), 0)
+          << "run " << r << " from t=" << ts[0] << " dt~" << scale;
+      src->power_run(ts.data(), ts.data(), kRun);  // in place
+      ASSERT_EQ(std::memcmp(ts.data(), oracle.data(), kRun * sizeof(double)), 0);
+    }
+  }
 }
 
 TEST(Factory, BuildsEveryKind) {
