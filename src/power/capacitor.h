@@ -193,27 +193,13 @@ class CapacitorSupply : public dev::PowerSupply {
         seg_p = seg_p_ = source_.power_at(t);
         seg_end = seg_end_ = hardened_segment_end(seg_p);
         if (!(t < seg_end)) {
-          energy_ = e;
-          on_time_ = on_t;
+          commit(e, t, on_t);
           return i + consume_run(ev + i, n - i);
         }
       }
-      e = std::min(e + seg_p * ev[i].dt, e_max);
-      t += ev[i].dt;
-      on_t += ev[i].dt;
-      e -= ev[i].joules;
-      if (e < e_off) {
-        energy_ = std::max(e, 0.0);
-        now_ = t;
-        on_time_ = on_t;
-        on_ = false;
-        ++failures_;
-        return i;
-      }
+      if (!settle(seg_p, ev[i], e_max, e_off, e, t, on_t)) return i;
     }
-    energy_ = e;
-    now_ = t;
-    on_time_ = on_t;
+    commit(e, t, on_t);
     return n;
   }
 
@@ -365,24 +351,37 @@ class CapacitorSupply : public dev::PowerSupply {
       }
       source_.power_run(ts, ps, m);
       for (std::size_t k = 0; k < m; ++k) {
-        e = std::min(e + ps[k] * chunk[k].dt, e_max);
-        t += chunk[k].dt;
-        on_t += chunk[k].dt;
-        e -= chunk[k].joules;
-        if (e < e_off) {
-          energy_ = std::max(e, 0.0);
-          now_ = t;
-          on_time_ = on_t;
-          on_ = false;
-          ++failures_;
-          return base + k;
-        }
+        if (!settle(ps[k], chunk[k], e_max, e_off, e, t, on_t)) return base + k;
       }
     }
+    commit(e, t, on_t);
+    return n;
+  }
+
+  // One draw of a batch settled at harvest power p: consume()'s arithmetic
+  // in its order, on the batch loop's local copies of the running state.
+  // On a brown-out it commits the state consume() would leave and returns
+  // false.
+  bool settle(double p, const dev::SpendEvent& ev, double e_max, double e_off, double& e,
+              double& t, double& on_t) {
+    e = std::min(e + p * ev.dt, e_max);
+    t += ev.dt;
+    on_t += ev.dt;
+    e -= ev.joules;
+    if (e < e_off) {
+      commit(std::max(e, 0.0), t, on_t);
+      on_ = false;
+      ++failures_;
+      return false;
+    }
+    return true;
+  }
+
+  // Writes a batch loop's local copies of the running state back.
+  void commit(double e, double t, double on_t) {
     energy_ = e;
     now_ = t;
     on_time_ = on_t;
-    return n;
   }
 
   // Harden a source's segment-end candidate into an end the cache can

@@ -49,7 +49,6 @@ double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
 void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
   check(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
-  power::make_harvest_source(cfg.source);  // throws on a malformed spec
   std::set<std::string> names;
   for (const auto& g : cfg.groups) {
     const std::string where = "fleet group \"" + g.name + "\"";
@@ -88,20 +87,20 @@ double device_offset_s(const FleetConfig& cfg, int d, int n) {
 }
 
 // Population-wide immutable state shared by every device build: the base
-// harvest source, each group's compiled image, and the device-id -> group
-// mapping. Building a device needs nothing else, which is what lets each
-// loop item build its device alone (and worker processes build only their
-// shard).
+// harvest source (owned by the engine), each group's compiled image, and
+// the device-id -> group mapping. Building a device needs nothing else,
+// which is what lets each loop item build its device alone (and worker
+// processes build only their shard).
 struct FleetWorld {
-  std::unique_ptr<power::HarvestSource> base_source;
+  const power::HarvestSource* base_source = nullptr;
   std::vector<CompiledImage> group_image;
   std::vector<std::size_t> device_group;  // device id -> group index
   int n = 0;
 };
 
-FleetWorld build_world(const FleetConfig& cfg) {
+FleetWorld build_world(const FleetConfig& cfg, const power::HarvestSource& source) {
   FleetWorld w;
-  w.base_source = power::make_harvest_source(cfg.source);
+  w.base_source = &source;
   w.n = cfg.total_devices();
 
   // One model instance per (task, variant) for the whole fleet, seeded
@@ -146,7 +145,7 @@ std::unique_ptr<FleetDevice> make_device(const FleetWorld& w, const FleetConfig&
   r.runtime = g.agenda.runtime;
   r.sched_spec = g.sched_spec;
   r.force_admit_all = opts.force_admit_all;
-  r.source = w.base_source.get();
+  r.source = w.base_source;
   r.offset_s = device_offset_s(cfg, d, w.n);
   r.capacitor.capacitance_f = g.capacitance_f;
   r.capacitor.max_off_s = g.max_off_s;
@@ -690,7 +689,15 @@ void write_fleet_config(std::ostream& os, const FleetConfig& cfg) {
   }
 }
 
-FleetEngine::FleetEngine(FleetConfig cfg) : cfg_(std::move(cfg)) { validate(cfg_); }
+FleetEngine::FleetEngine(FleetConfig cfg) : FleetEngine(std::move(cfg), nullptr) {}
+
+FleetEngine::FleetEngine(FleetConfig cfg, std::shared_ptr<const power::HarvestSource> source)
+    : cfg_(std::move(cfg)), source_(std::move(source)) {
+  validate(cfg_);
+  // Config text stays file-free (parse, validate and --merge never open
+  // a trace); the source is read here, once, where the fleet runs.
+  if (source_ == nullptr) source_ = power::make_harvest_source(cfg_.source);
+}
 
 FleetEngine& FleetEngine::add_sink(FleetSink& sink) {
   sinks_.push_back(&sink);
@@ -714,7 +721,7 @@ static void validate_run_options(const FleetRunOptions& ropts, int n) {
 
 FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
   const auto wall0 = std::chrono::steady_clock::now();
-  const FleetWorld w = build_world(cfg_);
+  const FleetWorld w = build_world(cfg_, *source_);
   validate_run_options(ropts, w.n);
   if (ropts.profile != nullptr) {
     // World build (model gen + per-group image compiles) is build
@@ -755,7 +762,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     FleetRunOptions bo;
     bo.jobs = ropts.jobs;
     bo.max_resident = ropts.max_resident;
-    const FleetReport br = FleetEngine(bc).run(bo);
+    const FleetReport br = FleetEngine(bc, source_).run(bo);
     r.baselines.push_back({key, br.jobs_completed, br.jobs_in_deadline});
     if (ropts.verbose) {
       std::fprintf(stderr, "fleet baseline %-8s: %d jobs completed, %d in deadline\n",
@@ -770,7 +777,7 @@ FleetReport FleetEngine::run(const FleetRunOptions& ropts) {
     ao.jobs = ropts.jobs;
     ao.max_resident = ropts.max_resident;
     ao.force_admit_all = true;
-    const FleetReport ar = FleetEngine(cfg_).run(ao);
+    const FleetReport ar = FleetEngine(cfg_, source_).run(ao);
     r.admission_baseline.push_back({"admit=all", ar.jobs_completed, ar.jobs_in_deadline});
     if (ropts.verbose) {
       std::fprintf(stderr, "fleet admit=all baseline: %d jobs completed, %d in deadline\n",
@@ -786,7 +793,7 @@ void FleetEngine::run_shard(std::ostream& os, int shard, int shards,
   check(shard >= 0 && shard < shards, "run_shard: shard index out of range");
   check(ropts.baseline_runtimes.empty() && !ropts.compare_admission,
         "run_shard: baseline/admission reruns are whole-population operations");
-  const FleetWorld w = build_world(cfg_);
+  const FleetWorld w = build_world(cfg_, *source_);
   validate_run_options(ropts, w.n);
   const int begin = static_cast<int>(static_cast<long long>(w.n) * shard / shards);
   const int end = static_cast<int>(static_cast<long long>(w.n) * (shard + 1) / shards);

@@ -40,6 +40,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,6 +48,10 @@
 #include "models/zoo.h"
 #include "obs/export.h"
 #include "sched/agenda.h"
+
+namespace ehdnn::power {
+class HarvestSource;
+}  // namespace ehdnn::power
 
 namespace ehdnn::sim {
 
@@ -251,8 +256,10 @@ class FleetSink {
 };
 
 // Builds and runs one fleet population. Construction validates the
-// config and throws on unknown runtime keys or harvest specs (fail fast,
-// before any device boots). Each run compiles one image per group
+// config, builds its harvest source once (the one instance every device's
+// offset view and every baseline rerun shares) and throws on unknown
+// runtime keys, malformed harvest specs or unreadable trace files (fail
+// fast, before any device boots). Each run compiles one image per group
 // (sim/recipe.h: FRAM fitted unless the group pins it) and builds each
 // device when its turn comes, stamped from its group's image by
 // sim::provision.
@@ -282,7 +289,11 @@ class FleetEngine {
   void run_shard(std::ostream& os, int shard, int shards, const FleetRunOptions& opts = {});
 
  private:
+  // A baseline rerun: the same population's source, a rewritten config.
+  FleetEngine(FleetConfig cfg, std::shared_ptr<const power::HarvestSource> source);
+
   FleetConfig cfg_;
+  std::shared_ptr<const power::HarvestSource> source_;
   std::vector<FleetSink*> sinks_;
 };
 

@@ -194,6 +194,29 @@ TEST(Fleet, ShardedRunMergesToTheIdenticalArtifact) {
   EXPECT_EQ(run_as_shards(agg_cfg, 2), agg_whole.str());
 }
 
+// Merging only folds numbers, so it must not need the harvest source:
+// partials produced from a trace on another host still merge where that
+// trace path does not exist.
+TEST(Fleet, MergeNeverOpensTheSource) {
+  const FleetConfig cfg = tiny_fleet();
+  const std::string moved = "trace:path=/no/such.csv";
+  std::vector<std::string> paths;
+  for (int s = 0; s < 2; ++s) {
+    std::ostringstream os;
+    FleetEngine(cfg).run_shard(os, s, 2);
+    std::string text = os.str();
+    const std::size_t at = text.find(cfg.source);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, cfg.source.size(), moved);
+    paths.push_back(testing::TempDir() + "moved_source_" + std::to_string(s) + ".part");
+    std::ofstream(paths.back()) << text;
+  }
+  const FleetReport r = merge_fleet_shards(paths);
+  for (const auto& p : paths) std::remove(p.c_str());
+  EXPECT_EQ(r.config.source, moved);
+  EXPECT_EQ(r.total_jobs, 6);
+}
+
 // The merge reads files another process wrote, so a hand-edited partial
 // must fail loudly, naming the file, rather than crash, double-count or
 // drop a device. Each case rewrites one line of a genuine run_shard
@@ -312,17 +335,20 @@ TEST(Fleet, DutyCycledAgendaReleasesOnSchedule) {
   }
 }
 
-TEST(Fleet, ParseRejectsMalformedSourceSpec) {
-  // The harvest source spec is built at parse time, like sched=, so a bad
-  // one is a config error rather than a failure once the fleet runs.
-  for (const char* text : {"fleet source=const:w=1e-3,w=2e-3\ngroup count=1\n",
-                           "fleet source=warp:w=1\ngroup count=1\n",
-                           "fleet source=trace:path=/no/such.csv\ngroup count=1\n"}) {
-    std::istringstream is(text);
-    EXPECT_THROW(parse_fleet_config(is), Error) << text;
+TEST(Fleet, EngineRejectsMalformedSourceSpec) {
+  // Config text stays file-free: parsing (and --merge, which re-parses
+  // every partial's echoed config) never builds the source or opens a
+  // trace. The engine builds it once at construction, so a bad spec still
+  // fails before any device boots.
+  for (const std::string spec :
+       {"const:w=1e-3,w=2e-3", "warp:w=1", "trace:path=/no/such.csv"}) {
+    std::istringstream is("fleet source=" + spec + "\ngroup count=1\n");
+    const FleetConfig cfg = parse_fleet_config(is);
+    EXPECT_EQ(cfg.source, spec);
+    EXPECT_THROW(FleetEngine{cfg}, Error) << spec;
   }
   std::istringstream ok("fleet source=const:w=2e-3\ngroup count=1\n");
-  EXPECT_EQ(parse_fleet_config(ok).source, "const:w=2e-3");
+  EXPECT_NO_THROW(FleetEngine{parse_fleet_config(ok)});
 }
 
 TEST(Fleet, RejectsUnknownRuntime) {

@@ -30,6 +30,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,7 +157,11 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Built once the config is known; constructing it also builds the
+  // harvest source, so a bad --source is a usage error like any other
+  // population flag.
   sim::FleetConfig cfg;
+  std::optional<sim::FleetEngine> engine;
   if (!merge && config_path.empty()) {
     std::string text = "fleet";
     for (const auto& [k, v] : fleet_keys) text += " " + k + "=" + v;
@@ -165,6 +170,7 @@ int main(int argc, char** argv) {
     std::istringstream is(text);
     try {
       cfg = sim::parse_fleet_config(is);
+      engine.emplace(cfg);
     } catch (const Error& e) {
       std::fprintf(stderr, "fleet_runner: population flags: %s\n", e.what());
       return 2;
@@ -202,12 +208,15 @@ int main(int argc, char** argv) {
       return 0;
     }
 
-    if (!config_path.empty()) cfg = sim::parse_fleet_config_file(config_path);
+    if (!config_path.empty()) {
+      cfg = sim::parse_fleet_config_file(config_path);
+      engine.emplace(cfg);
+    }
 
     if (shard >= 0 || shards > 1) {
       std::ofstream f(out_path);
       check(f.good(), "cannot write " + out_path);
-      sim::FleetEngine(cfg).run_shard(f, shard, shards, ropts);
+      engine->run_shard(f, shard, shards, ropts);
       std::fprintf(stderr, "fleet_runner: shard %d/%d -> %s\n", shard, shards,
                    out_path.c_str());
       return 0;
@@ -224,7 +233,7 @@ int main(int argc, char** argv) {
       }
     }
 
-    const sim::FleetReport r = sim::FleetEngine(cfg).run(ropts);
+    const sim::FleetReport r = engine->run(ropts);
 
     std::ofstream f(out_path);
     check(f.good(), "cannot write " + out_path);
