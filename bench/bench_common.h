@@ -1,6 +1,7 @@
-// Shared plumbing for the paper-reproduction benches: model construction,
-// framework dispatch, power scenarios, and the paper's reported numbers
-// (EXPERIMENTS.md records measured-vs-paper for each).
+// Shared plumbing for the benches: random inputs, the single-layer micro
+// workloads and the ms / mJ cell formatters. The paper's Fig. 7 and
+// Sec. IV-A.5 claims run through the scenario engine instead
+// (paper_claims; BENCHMARKS.md "Paper claims").
 #pragma once
 
 #include <cstdio>
@@ -18,19 +19,6 @@
 #include "util/table.h"
 
 namespace ehdnn::bench {
-
-enum class Framework { kBase, kSonic, kTails, kAceFlex, kAcePlain };
-
-inline const char* framework_name(Framework f) {
-  switch (f) {
-    case Framework::kBase: return "BASE";
-    case Framework::kSonic: return "SONIC";
-    case Framework::kTails: return "TAILS";
-    case Framework::kAceFlex: return "ACE+FLEX";
-    case Framework::kAcePlain: return "ACE";
-  }
-  return "?";
-}
 
 // Random tensor in the RAD-normalized activation range.
 inline nn::Tensor random_input_tensor(const std::vector<std::size_t>& shape, Rng& rng) {
@@ -73,55 +61,6 @@ inline LayerWorkload fc_micro_workload() {
   nn::Model m;
   m.add<nn::Dense>(512, 128)->init(wr);
   return make_layer_workload(std::move(m), {512}, 12);
-}
-
-// Intermittent-power scenario. The paper's testbed pairs a 100 uF buffer
-// with multi-second inferences, i.e. one burst covers a tiny fraction of
-// an inference. Our modelled inferences are absolutely faster (tens of
-// ms), so the default capacitor is scaled down to 10 uF to preserve that
-// regime — burst energy (~30 uJ) a small fraction of inference energy
-// (0.2-13 mJ) — which is what makes BASE/ACE unable to finish and
-// exercises the checkpointing strategies exactly as in Fig. 7(b).
-struct PowerSpec {
-  bool continuous = true;
-  double capacitance_f = 10e-6;
-  double harvest_w = 1.2e-3;  // below the ~5 mW active draw: net-drain
-};
-
-// The framework's key in the one runtime table (sim::make_policy).
-inline const char* runtime_key(Framework f) {
-  switch (f) {
-    case Framework::kBase: return "base";
-    case Framework::kSonic: return "sonic";
-    case Framework::kTails: return "tails";
-    case Framework::kAceFlex: return "flex";
-    case Framework::kAcePlain: return "ace";
-  }
-  return "?";
-}
-
-// Runs one inference of `task` under `fw`; BASE/SONIC/TAILS use the dense
-// model, ACE/ACE+FLEX the RAD-compressed one. Timing and energy are
-// data-independent (fixed loop bounds), so the benches run randomly
-// initialized models; accuracy is Table II's job.
-inline flex::RunStats run_framework(Framework fw, models::Task task, const PowerSpec& ps,
-                                    long max_reboots = 3000) {
-  const bool compressed = sim::runtime_uses_compressed_model(runtime_key(fw));
-  Rng rng(0xb0a710ad + static_cast<std::uint64_t>(task));
-  const auto qm = models::make_deployed_qmodel(task, compressed, rng);
-  const sim::CompiledImage image = sim::compile_image(
-      qm, nullptr, models::deployment_device_config(compressed).fram_words);
-  std::vector<fx::q15_t> input(qm.layers.front().in_size());
-  for (auto& v : input) v = static_cast<fx::q15_t>(rng.next_u64());
-
-  power::ConstantSource src(ps.harvest_w);
-  sim::DeviceRecipe r;
-  r.runtime = runtime_key(fw);
-  if (!ps.continuous) r.source = &src;
-  r.capacitor.capacitance_f = ps.capacitance_f;
-  r.opts.max_reboots = max_reboots;
-  const auto d = sim::provision(r, image);
-  return flex::IntermittentExecutor(*d->policy).run(d->device, image.primary, input, d->opts);
 }
 
 inline std::string ms(double seconds) { return Table::num(seconds * 1e3, 2) + " ms"; }

@@ -34,7 +34,7 @@ struct Row {
   double energy_j = 0.0;
 };
 
-Row run_with(bench::Framework fw, std::size_t block, Rng& rng) {
+Row run_with(const char* runtime, std::size_t block, Rng& rng) {
   const auto qm = single_fc(block, rng);
   dev::Device dev;
   power::ContinuousPower supply;
@@ -42,7 +42,7 @@ Row run_with(bench::Framework fw, std::size_t block, Rng& rng) {
   const auto cm = ace::compile(qm, dev);
   std::vector<fx::q15_t> input(256);
   for (auto& v : input) v = static_cast<fx::q15_t>(rng.next_u64());
-  const auto policy = sim::make_policy(bench::runtime_key(fw));
+  const auto policy = sim::make_policy(runtime);
   const auto st = flex::IntermittentExecutor(*policy).run(dev, cm, input);
   return {"", st.on_seconds, st.energy_j};
 }
@@ -56,10 +56,10 @@ int main() {
 
   Rng rng(808);
   std::vector<std::pair<std::string, Row>> rows;
-  rows.push_back({"CPU element-wise (SONIC)", run_with(Framework::kSonic, 0, rng)});
-  rows.push_back({"LEA dense rows (BASE/TAILS)", run_with(Framework::kBase, 0, rng)});
+  rows.push_back({"CPU element-wise (SONIC)", run_with("sonic", 0, rng)});
+  rows.push_back({"LEA dense rows (BASE/TAILS)", run_with("base", 0, rng)});
   for (std::size_t k : {32u, 64u, 128u}) {
-    rows.push_back({"ACE BCM k=" + std::to_string(k), run_with(Framework::kAcePlain, k, rng)});
+    rows.push_back({"ACE BCM k=" + std::to_string(k), run_with("ace", k, rng)});
   }
 
   const double base_lat = rows[0].second.latency_s;

@@ -1,7 +1,7 @@
 // google-benchmark micro suite: the host-side cost of the simulation
 // kernels (FFT, circulant mat-vec, device LEA ops). These measure the
 // simulator itself — useful when profiling bench turnaround — while the
-// *modelled* device costs appear in the fig7/fig8 benches.
+// *modelled* device costs appear in paper_claims and the fig6/fig8 benches.
 
 #include <benchmark/benchmark.h>
 

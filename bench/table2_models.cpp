@@ -1,6 +1,6 @@
 // Table II: structure, compression and accuracy of the three DNNs, via the
 // full RAD pipeline (train -> BCM -> ADMM structured pruning -> quantize)
-// on the synthetic stand-in datasets (DESIGN.md SS1). Paper accuracies:
+// on the synthetic stand-in datasets (BENCHMARKS.md "Paper claims"). Paper accuracies:
 // MNIST 99%, HAR 89%, OKG 82% on the real datasets.
 
 #include <iostream>

@@ -46,7 +46,7 @@ int main() {
   for (double v_warn : {2.25, 2.35, 2.45, 2.60, 2.90}) {
     dev::Device device;
     power::CapacitorConfig ccfg;
-    ccfg.capacitance_f = 10e-6;  // scaled buffer; see EXPERIMENTS.md
+    ccfg.capacitance_f = 10e-6;  // scaled buffer; BENCHMARKS.md "Paper claims"
     power::CapacitorSupply cap(harvest, ccfg);
     device.attach_supply(&cap);
     const auto cm = ace::compile(rad_out.qmodel, device);

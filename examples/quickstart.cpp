@@ -61,7 +61,8 @@ int main() {
   power::SquareSource harvest(2e-3, 0.3e-3, /*period=*/0.05, /*duty=*/0.5);
   power::CapacitorConfig ccfg;
   // Buffer scaled so one burst covers only a fraction of the inference
-  // (the paper's regime; see EXPERIMENTS.md on capacitor scaling).
+  // (the paper's regime; see BENCHMARKS.md "Paper claims" on capacitor
+  // scaling).
   ccfg.capacitance_f = 10e-6;
   power::CapacitorSupply cap(harvest, ccfg);
   eh_device.attach_supply(&cap);

@@ -3,7 +3,7 @@
 // The paper evaluates on MNIST, UCI-HAR and Google Speech Commands (OKG).
 // Those datasets are not available offline, so ehdnn ships deterministic
 // synthetic generators with the same tensor shapes and class counts
-// (DESIGN.md SS1 records the substitution). Each generator draws
+// (BENCHMARKS.md "Paper claims" records the substitution). Each generator draws
 // class-conditional structured patterns (strokes / periodic motions /
 // formant tracks) plus controlled noise, producing tasks a LeNet-class
 // model can learn into the paper's accuracy bands. All values land in
@@ -39,7 +39,7 @@ TrainTest make_mnist_like(Rng& rng, std::size_t n_train, std::size_t n_test);
 // HAR-like: (1,121) inertial windows, 6 activity classes of sinusoid
 // mixtures (class-specific frequency signatures) with jitter and drift.
 // Window length 121 matches the paper's HAR model (121 - 12 + 1 = 110,
-// 32 * 110 = 3520 flattened features; DESIGN.md SS3).
+// 32 * 110 = 3520 flattened features; BENCHMARKS.md "Paper claims").
 TrainTest make_har_like(Rng& rng, std::size_t n_train, std::size_t n_test);
 
 // OKG-like: (1,28,28) MFCC-style spectrograms, 12 keyword classes of

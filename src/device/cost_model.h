@@ -14,7 +14,8 @@
 // measurements; what matters for the reproduction is that the *relative*
 // costs (CPU MAC vs LEA MAC, SRAM vs FRAM, CPU copy vs DMA) sit in the
 // datasheet-supported ranges, so the paper's ratios emerge from the same
-// mechanics. EXPERIMENTS.md records paper-vs-measured for every figure.
+// mechanics. BENCHMARKS.md "Paper claims" records paper-vs-simulated for
+// Fig. 7 and Sec. IV-A.5 (PAPER_CLAIMS.json).
 #pragma once
 
 namespace ehdnn::dev {

@@ -14,11 +14,12 @@ struct cq15 {
 };
 
 // (a*b) complex multiply with fractional rounding; each component is a
-// sum/difference of two Q30 products narrowed back to q15.
+// sum/difference of two Q30 products narrowed back to q15. The sums are
+// 64-bit: (-1)(-1) + (-1)(-1) is 2^31, one past the q31 range.
 inline cq15 cmul(cq15 a, cq15 b, SatStats* stats = nullptr) {
-  const q31_t re = mul_q30(a.re, b.re) - mul_q30(a.im, b.im);
-  const q31_t im = mul_q30(a.re, b.im) + mul_q30(a.im, b.re);
-  const q31_t half = 1 << (kQ15Bits - 1);
+  const std::int64_t re = std::int64_t{mul_q30(a.re, b.re)} - mul_q30(a.im, b.im);
+  const std::int64_t im = std::int64_t{mul_q30(a.re, b.im)} + mul_q30(a.im, b.re);
+  const std::int64_t half = 1 << (kQ15Bits - 1);
   return {sat16((re + half) >> kQ15Bits, stats), sat16((im + half) >> kQ15Bits, stats)};
 }
 

@@ -9,7 +9,7 @@
 //         FC 512x256 (BCM k=128) -> FC 256x128 (BCM k=64) -> FC 128x12
 //
 // Input-shape choices that the paper leaves implicit are documented in
-// DESIGN.md SS3.
+// BENCHMARKS.md "Paper claims".
 #pragma once
 
 #include <string>
@@ -70,7 +70,7 @@ quant::QuantModel make_deployed_qmodel(Task t, bool compressed, Rng& rng);
 
 // Device geometry the deployed models run on. The uncompressed HAR/OKG
 // twins exceed the real board's 256 KB FRAM (itself a headline result —
-// EXPERIMENTS.md), so baselines execute on a virtually enlarged FRAM to
+// BENCHMARKS.md "Paper claims"), so baselines execute on a virtually enlarged FRAM to
 // keep their time/energy measurable. One definition, shared by the paper
 // benches and the scenario engine, so their cells stay comparable.
 dev::DeviceConfig deployment_device_config(bool compressed);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -48,18 +49,22 @@ double json_deadline(double v) { return std::isfinite(v) ? v : -1.0; }
 
 void validate(const FleetConfig& cfg) {
   check(!cfg.groups.empty(), "fleet config: need at least one group");
-  check(cfg.offset_spread_s >= 0.0, "fleet config: spread must be >= 0");
+  // JSON has no infinity, and an infinite off-time guard or period never
+  // ends a run: only deadline may be unbounded (written as -1).
+  check(std::isfinite(cfg.offset_spread_s) && cfg.offset_spread_s >= 0.0,
+        "fleet config: spread must be finite and >= 0");
+  const auto finite_pos = [](double v) { return std::isfinite(v) && v > 0.0; };
   std::set<std::string> names;
   for (const auto& g : cfg.groups) {
     const std::string where = "fleet group \"" + g.name + "\"";
     check(names.insert(g.name).second, where + ": duplicate group name");
     check(g.count >= 1, where + ": count must be >= 1");
-    check(g.capacitance_f > 0.0, where + ": capacitance must be > 0");
-    check(g.max_off_s > 0.0, where + ": max_off must be > 0");
+    check(finite_pos(g.capacitance_f), where + ": capacitance must be finite and > 0");
+    check(finite_pos(g.max_off_s), where + ": max_off must be finite and > 0");
     check(g.max_reboots >= 1, where + ": reboots must be >= 1");
     check(g.max_futile >= 0, where + ": max_futile must be >= 0");
     check(g.agenda.jobs >= 1, where + ": jobs must be >= 1");
-    check(g.agenda.period_s > 0.0, where + ": agenda period must be > 0");
+    check(finite_pos(g.agenda.period_s), where + ": agenda period must be finite and > 0");
     check(g.agenda.deadline_s > 0.0, where + ": deadline must be > 0");
     runtime_uses_compressed_model(g.agenda.runtime);  // throws on unknown key
     if (!g.sched_spec.empty()) {

@@ -2,8 +2,8 @@
 // image once, then provision each device from it — stamp the image, build
 // the supply and runtime policy, provision the adaptive scheduler and
 // size FLEX's warn voltage from the worst-case checkpoint. The fleet, the
-// scenario sweep, the contract checker and the paper benches all build
-// their devices here.
+// scenario sweep (and paper_claims on top of it) and the contract
+// checker all build their devices here.
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,10 @@
 #include "sim/scenario.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -118,6 +120,7 @@ ScenarioCell run_cell(const std::string& rt_key, models::Task task,
   cell.off_s = st.off_seconds;
   cell.total_s = st.total_seconds();
   cell.energy_j = st.energy_j;
+  std::copy(std::begin(st.energy_by_rail), std::end(st.energy_by_rail), cell.energy_by_rail);
   cell.checkpoint_energy_j = st.checkpoint_energy_j;
   cell.reboots = st.reboots;
   cell.checkpoints = st.checkpoints;
@@ -174,6 +177,9 @@ ScenarioSpec parse_scenario_arg(const std::string& arg) {
   constexpr long long kMaxBoots = 1000000000000000;
   sc.capacitance_f = a.num("cap", sc.capacitance_f);
   sc.max_off_s = a.num("max_off", sc.max_off_s);
+  // JSON has no infinity, and an infinite off-time guard never starves.
+  check(std::isfinite(sc.capacitance_f), "scenario \"" + arg + "\": cap must be finite");
+  check(std::isfinite(sc.max_off_s), "scenario \"" + arg + "\": max_off must be finite");
   sc.max_reboots = static_cast<long>(a.integer("reboots", sc.max_reboots, 0, kMaxBoots));
   sc.max_futile = static_cast<long>(a.integer("max_futile", sc.max_futile, 0, kMaxBoots));
   a.finish();
@@ -207,13 +213,14 @@ ScenarioMatrix run_matrix(const std::vector<std::string>& runtimes,
                                                 : power::make_harvest_source(sc.source));
   }
 
-  // Deployment + dense instances and inputs for every task, seeded
-  // exactly like the paper benches so matrix cells are comparable to
-  // fig7b rows. Only the variants the requested runtimes execute are
-  // built (the dense HAR/OKG twins are the expensive ones), and each
-  // (task, variant set) compiles once, onto the deployment geometry
-  // (devices shipping the dense twin get the enlarged FRAM). Inputs and
-  // images are immutable during the sweep — workers share them.
+  // Deployment + dense instances and inputs for every task, seeded from
+  // opts.seed + task (paper_claims sweeps the default seed, so its cells
+  // and the matching SCENARIOS.json cells are the same runs). Only the
+  // variants the requested runtimes execute are built (the dense HAR/OKG
+  // twins are the expensive ones), and each (task, variant set) compiles
+  // once, onto the deployment geometry (devices shipping the dense twin
+  // get the enlarged FRAM). Inputs and images are immutable during the
+  // sweep — workers share them.
   using VariantSet = std::pair<bool, bool>;  // {primary compressed, dense twin}
   std::vector<std::map<bool, std::vector<fx::q15_t>>> inputs(tasks.size());
   std::vector<std::map<VariantSet, CompiledImage>> images(tasks.size());

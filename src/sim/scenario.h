@@ -23,7 +23,7 @@ namespace ehdnn::sim {
 struct ScenarioSpec {
   std::string name;
   std::string source = "continuous";
-  double capacitance_f = 10e-6;  // bench_common's paper-regime default
+  double capacitance_f = 10e-6;  // the paper regime (BENCHMARKS.md "Paper claims")
   double max_off_s = 30.0;       // starvation guard while recharging
   long max_reboots = 100000;     // hard cap (livelock guard fires earlier)
   // Executor livelock watchdog (RunOptions::max_futile_boots): N
@@ -51,6 +51,9 @@ struct ScenarioCell {
   double off_s = 0.0;
   double total_s = 0.0;
   double energy_j = 0.0;
+  // Per-rail split of energy_j, indexed by dev::Rail (names from
+  // dev::rail_name). PAPER_CLAIMS.json carries it; SCENARIOS.json does not.
+  double energy_by_rail[static_cast<std::size_t>(dev::Rail::kCount)] = {};
   double checkpoint_energy_j = 0.0;
   long reboots = 0;
   long checkpoints = 0;

@@ -94,7 +94,7 @@ TEST(Compile, UncompressedHarOkgExceedTheRealBoard) {
   // The dense HAR/OKG weight matrices alone outgrow the 256 KB FRAM —
   // the concrete motivation for RAD's compression. The SONIC/TAILS
   // baselines therefore run on a virtually enlarged FRAM (documented in
-  // EXPERIMENTS.md) so their time/energy can still be measured.
+  // BENCHMARKS.md "Paper claims") so their time/energy can still be measured.
   Rng rng(22);
   for (models::Task t : {models::Task::kHar, models::Task::kOkg}) {
     const auto info = models::model_info(t);

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "power/factory.h"
@@ -458,6 +459,17 @@ TEST(Sweep, JobsCountDoesNotChangeTheMatrix) {
   write_scenarios_json(ja, a);
   write_scenarios_json(jb, b);
   EXPECT_EQ(ja.str(), jb.str()) << "SCENARIOS.json must be byte-identical for any --jobs";
+  // SCENARIOS.json leaves out the per-rail split (PAPER_CLAIMS.json
+  // carries it): it must match across job counts and sum, in rail order,
+  // to energy_j.
+  for (std::size_t i = 0; i < a.cells.size(); ++i) {
+    double sum = 0.0;
+    for (std::size_t r = 0; r < std::size(a.cells[i].energy_by_rail); ++r) {
+      EXPECT_EQ(a.cells[i].energy_by_rail[r], b.cells[i].energy_by_rail[r]);
+      sum += a.cells[i].energy_by_rail[r];
+    }
+    EXPECT_EQ(sum, a.cells[i].energy_j) << "cell " << i;
+  }
 }
 
 TEST(Sweep, RuntimeTableIsConsistent) {

@@ -224,7 +224,7 @@ TEST(Flex, FasterThanSonicAndTailsOnSameModel) {
   // Checkpoint-strategy ordering isolated on the SAME dense model: SONIC
   // (element-wise CPU, per-tile commits) slowest; TAILS (LEA + steady
   // commits) in between; FLEX (LEA + on-demand only) fastest. At paper
-  // scale BCM compression widens FLEX's lead further (bench/fig7); at
+  // scale BCM compression widens FLEX's lead further (PAPER_CLAIMS.json); at
   // this miniature scale the FFT's fixed overhead would mask it, which is
   // exactly the small-block regime of Fig. 8.
   Rng rng(10);
@@ -242,7 +242,7 @@ TEST(Flex, FasterThanSonicAndTailsOnSameModel) {
   // At this miniature scale FLEX and TAILS are within noise of each other
   // (TAILS' steady commits are only a handful of words); SONIC's
   // element-wise CPU execution is decisively slower. The paper-scale
-  // separation is measured in bench/fig7b.
+  // separation is the fig7b claims in PAPER_CLAIMS.json.
   EXPECT_LT(f.on_seconds, t.on_seconds * 1.02);
   EXPECT_LT(t.on_seconds, s.on_seconds);
   EXPECT_LT(f.energy_j, s.energy_j);

@@ -71,7 +71,7 @@ TEST(Capacitor, BurstEnergyMatchesFormula) {
   CapacitorSupply cap(src, cfg);
   const double expect = 0.5 * 100e-6 * (3.3 * 3.3 - 2.2 * 2.2);
   EXPECT_NEAR(cap.burst_energy(), expect, 1e-9);
-  EXPECT_NEAR(cap.burst_energy(), 3.03e-4, 5e-6);  // ~0.30 mJ (DESIGN.md)
+  EXPECT_NEAR(cap.burst_energy(), 3.03e-4, 5e-6);  // ~0.30 mJ (BENCHMARKS.md "Paper claims")
 }
 
 TEST(Capacitor, StartsChargedAndDrains) {

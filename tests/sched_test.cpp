@@ -549,6 +549,14 @@ TEST(FleetConfig, RejectsMalformedEntries) {
   EXPECT_THROW(parse("group count=1 runtime=tile:bogus=1\n"), Error);
   EXPECT_THROW(parse("group count=1 runtime=flex:t=2\n"), Error);
   EXPECT_THROW(parse("group count=1 max_futile=-1\n"), Error);
+  // Non-finite numbers: JSON has no infinity, and an infinite off-time
+  // guard or period never ends a run. Only deadline may be unbounded.
+  EXPECT_THROW(parse("group count=1 cap=inf\n"), Error);
+  EXPECT_THROW(parse("group count=1 max_off=inf\n"), Error);
+  EXPECT_THROW(parse("group count=1 period=inf\n"), Error);
+  EXPECT_THROW(parse("group count=1 cap=nan\n"), Error);
+  EXPECT_THROW(parse("fleet spread=inf\ngroup count=1\n"), Error);
+  EXPECT_NO_THROW(parse("group count=1 deadline=inf\n"));
 }
 
 // --------------------------------------------------- FLEET.json v6 schema

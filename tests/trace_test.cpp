@@ -230,6 +230,9 @@ TEST(ScenarioArg, RejectsMalformed) {
   EXPECT_THROW(sim::parse_scenario_arg("name="), Error);
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;volts=3"), Error);  // unknown option
   EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=tiny"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=inf"), Error);  // JSON has no inf
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;cap=nan"), Error);
+  EXPECT_THROW(sim::parse_scenario_arg("n=const:w=1;max_off=inf"), Error);
 }
 
 TEST(ScenarioArg, RejectsNonIntegralAndDuplicateOptions) {

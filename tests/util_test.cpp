@@ -24,6 +24,8 @@ TEST(Check, ThrowsWithMessage) {
     FAIL() << "expected throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("boom"), std::string::npos);
+    // The location is relative to the source root, not the build machine's path.
+    EXPECT_EQ(std::string(e.what()).rfind("tests/util_test.cpp:", 0), 0u) << e.what();
   }
 }
 
