@@ -54,7 +54,7 @@ void BM_DeviceLeaMac(benchmark::State& state) {
     d.sram().poke(1024 + i, fx::to_q15(rng.uniform(-0.2, 0.2)));
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(d.lea_mac(0, 1024, n));
+    benchmark::DoNotOptimize(d.mac_block(0, 1024, n));
   }
 }
 BENCHMARK(BM_DeviceLeaMac)->Arg(25)->Arg(78)->Arg(150);

@@ -214,6 +214,9 @@ KernelResult bench_circulant(std::size_t k, int reps) {
 // slice count and "energy" the population's modeled joules, both
 // deterministic, so the CI gate pins the engine's semantics exactly;
 // wall-clock (and the devices/s line) stays advisory like every kernel.
+// The full run repeats the fleet 5 times: every rep must reproduce the
+// first rep's modeled totals exactly (cost_match), and the recorded wall
+// is the median rep, so one slow rep on a shared host does not set it.
 KernelResult bench_fleet(bool smoke) {
   sim::FleetConfig cfg;
   cfg.source = "square:hi=4e-3,lo=0.2e-3,period=0.02,duty=0.5";
@@ -224,20 +227,30 @@ KernelResult bench_fleet(bool smoke) {
   g.agenda.runtime = "flex";
   cfg.groups.push_back(g);
 
-  const double t0 = now_ns();
-  const sim::FleetReport rep = sim::FleetEngine(cfg).run();
-  const double wall = now_ns() - t0;
-
   KernelResult r;
   r.name = "fleet_throughput_" + std::to_string(g.count);
-  r.reps = 1;
-  r.wall_ns_bulk = wall;
-  r.modeled_cycles = static_cast<double>(rep.total_steps);
-  r.modeled_energy = rep.total_energy_j;
-  r.devices_per_s = g.count / (wall * 1e-9);
-  r.bit_exact = rep.jobs_completed == rep.total_jobs;  // every job must finish
-  std::printf("fleet throughput: %d devices in %.2f s (%.0f devices/s, %ld slices)\n",
-              g.count, wall * 1e-9, g.count / (wall * 1e-9), rep.total_steps);
+  r.reps = smoke ? 1 : 5;
+  std::vector<double> walls;
+  for (int i = 0; i < r.reps; ++i) {
+    const double t0 = now_ns();
+    const sim::FleetReport rep = sim::FleetEngine(cfg).run();
+    walls.push_back(now_ns() - t0);
+    r.bit_exact = r.bit_exact && rep.jobs_completed == rep.total_jobs;  // every job must finish
+    const auto slices = static_cast<double>(rep.total_steps);
+    if (i == 0) {
+      r.modeled_cycles = slices;
+      r.modeled_energy = rep.total_energy_j;
+    }
+    r.cost_match = r.cost_match && slices == *r.modeled_cycles &&
+                   rep.total_energy_j == *r.modeled_energy;
+  }
+  std::sort(walls.begin(), walls.end());
+  r.wall_ns_bulk = walls[walls.size() / 2];
+  r.devices_per_s = g.count / (r.wall_ns_bulk * 1e-9);
+  std::printf("fleet throughput: %d devices, median of %d reps %.2f s (min %.2f, max %.2f; "
+              "%.0f devices/s, %.0f slices)\n",
+              g.count, r.reps, r.wall_ns_bulk * 1e-9, walls.front() * 1e-9,
+              walls.back() * 1e-9, *r.devices_per_s, *r.modeled_cycles);
   return r;
 }
 

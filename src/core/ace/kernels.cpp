@@ -104,7 +104,7 @@ void run_conv2d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
       dv.read_gather(MemKind::kSram, sp.input_stage + i * iw + j, lp.x_gather, lp.x_span,
                      gbuf, /*offsets_in_span=*/true);
       dv.write_block(MemKind::kSram, sp.win_vec, gbuf);
-      const std::int64_t acc = dv.lea_mac(sp.win_vec, sp.kern_vec, gather);
+      const std::int64_t acc = dv.mac_block(sp.win_vec, sp.kern_vec, gather);
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[j] = v;
@@ -150,7 +150,7 @@ void run_conv1d(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
       dv.read_gather(MemKind::kSram, sp.input_stage + i, lp.x_gather, lp.x_span, gbuf,
                      /*offsets_in_span=*/true);
       dv.write_block(MemKind::kSram, sp.win_vec, gbuf);
-      const std::int64_t acc = dv.lea_mac(sp.win_vec, sp.kern_vec, gather);
+      const std::int64_t acc = dv.mac_block(sp.win_vec, sp.kern_vec, gather);
       q15_t v = fx::narrow_q30(acc, rshift, ctx.stats);
       if (!q.bias.empty()) v = fx::add_sat(v, bias_f, ctx.stats);
       rowbuf[i] = v;
@@ -199,7 +199,7 @@ void run_dense(ExecCtx& ctx, std::size_t start_unit, const UnitHooks& hooks) {
       for (std::size_t o = o_lo; o < o_hi; ++o) {
         move_words(dv, MemKind::kFram, ctx.img().w_base + o * in + base, MemKind::kSram,
                    sp.kern_vec, len);
-        const std::int64_t chunk = dv.lea_mac(sp.input_stage, sp.kern_vec, len);
+        const std::int64_t chunk = dv.mac_block(sp.input_stage, sp.kern_vec, len);
         dv.cpu_ops(6);
         const std::int64_t folded =
             static_cast<std::int64_t>(read_acc32(dv, MemKind::kSram, sp.acc32, o)) +

@@ -270,39 +270,25 @@ void Device::dma_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst,
   }
 }
 
-std::int64_t Device::lea_mac(Addr a, Addr b, std::size_t n, bool* overflow) {
-  return mac_block(a, b, n, overflow);
-}
-
-std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n, bool* overflow) {
+std::int64_t Device::mac_block(Addr a, Addr b, std::size_t n) {
   const CostModel& cm = cfg_.cost;
   const double cycles = cm.lea_setup + cm.lea_mac_per_elem * static_cast<double>(n);
   const double e_mem = static_cast<double>(2 * n) * cm.e_sram_read;
   spend(Rail::kLea, cycles, e_mem, cm.p_lea_active);
+  // Each q15 x q15 product fits int32 and n <= SRAM words keeps the int64
+  // sum far from wrapping, so integer addition is exact in any order: the
+  // bulk loop is a plain widening reduction the compiler vectorizes, and
+  // it equals the per-word peek loop bit for bit.
   std::int64_t acc = 0;
-  bool ovf = false;
   if (bulk_enabled_) {
-    const auto va = sram_.view(a, n);
-    const auto vb = sram_.view(b, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += fx::mul_q30(va[i], vb[i]);
-      // Checked per element: a transient excursion past the 32-bit
-      // accumulator must set the flag even if later products cancel it.
-      if (acc > std::numeric_limits<fx::q31_t>::max() ||
-          acc < std::numeric_limits<fx::q31_t>::min()) {
-        ovf = true;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      acc += fx::mul_q30(sram_.peek(a + i), sram_.peek(b + i));
-      if (acc > std::numeric_limits<fx::q31_t>::max() ||
-          acc < std::numeric_limits<fx::q31_t>::min()) {
-        ovf = true;
-      }
-    }
+    const fx::q15_t* va = sram_.view(a, n).data();
+    const fx::q15_t* vb = sram_.view(b, n).data();
+    for (std::size_t i = 0; i < n; ++i) acc += fx::mul_q30(va[i], vb[i]);
+    return acc;
   }
-  if (overflow != nullptr) *overflow = ovf;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc += fx::mul_q30(sram_.peek(a + i), sram_.peek(b + i));
+  }
   return acc;
 }
 

@@ -9,6 +9,9 @@
 // FRAM region — exactly the hazard the intermittent runtimes must handle.
 // LEA operations read and write SRAM only, so their all-or-nothing
 // modelling is unobservable (SRAM is scrambled at reboot anyway).
+// mac_block is the one LEA multiply-accumulate entry point (conv, FC and
+// BCM kernels all run through it): an exact 64-bit sum that reports no
+// overflow; the real block's 32-bit accumulator rule is fx::vec_mac's.
 //
 // Default geometry matches the evaluation board: 8 KB SRAM (4 K words),
 // 256 KB FRAM (128 K words), 16 MHz. The LEA owns no memory of its own; it
@@ -114,10 +117,6 @@ class Device {
   void read_gather(MemKind mem, Addr base, std::span<const std::uint32_t> offsets,
                    std::size_t span_words, std::span<fx::q15_t> out,
                    bool offsets_in_span = false);
-  // LEA MAC over SRAM operand blocks (identical cost and semantics to
-  // lea_mac, which delegates here): one bounds check per operand and a
-  // tight pointer loop instead of per-word peeks.
-  std::int64_t mac_block(Addr a, Addr b, std::size_t n, bool* overflow = nullptr);
   // CPU copy loop (the non-DMA arm of ACE's data-movement decision):
   // per word, 2 ALU ops + one read + one write, charged as three
   // aggregated events. Torn-prefix semantics preserved for FRAM
@@ -130,10 +129,12 @@ class Device {
   void dma_copy(MemKind src_mem, Addr src, MemKind dst_mem, Addr dst, std::size_t words);
 
   // ---- LEA vector ops (SRAM operands only) ------------------------------
-  // MAC: sum of products over n q15 elements, 64-bit simulation accumulator
-  // (Q30 units). The real block has a 32-bit accumulator; overflow beyond
-  // it is reported through `overflow` when provided.
-  std::int64_t lea_mac(Addr a, Addr b, std::size_t n, bool* overflow = nullptr);
+  // MAC, the one LEA multiply-accumulate entry point: sum of a[i] * b[i]
+  // over n q15 SRAM words at `a` and `b`, in Q30 units. The simulation
+  // accumulates in 64 bits and reports no overflow; the real block's
+  // 32-bit accumulator and its Q31 overflow rule live in fx::vec_mac
+  // (fixed/vec.h), the reference the device result is tested against.
+  std::int64_t mac_block(Addr a, Addr b, std::size_t n);
 
   // Element-wise ops.
   void lea_add(Addr a, Addr b, Addr out, std::size_t n, fx::SatStats* stats = nullptr);

@@ -14,7 +14,11 @@
 // assertions only.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,7 +36,12 @@ enum class MemKind { kSram, kFram };
 class MemoryRegion {
  public:
   MemoryRegion(MemKind kind, std::size_t words)
-      : kind_(kind), words_(words, 0) {}
+      : kind_(kind),
+        store_(static_cast<fx::q15_t*>(std::calloc(std::max<std::size_t>(words, 1),
+                                                   sizeof(fx::q15_t)))),
+        words_(store_.get(), words) {
+    if (store_ == nullptr) throw std::bad_alloc();
+  }
 
   MemKind kind() const { return kind_; }
   bool is_volatile() const { return kind_ == MemKind::kSram; }
@@ -78,7 +87,7 @@ class MemoryRegion {
   void clone_from(const MemoryRegion& other) {
     check(kind_ == other.kind_ && words_.size() == other.words_.size(),
           "MemoryRegion: clone_from geometry mismatch");
-    words_ = other.words_;  // copy-assign reuses existing capacity
+    std::copy(other.words_.begin(), other.words_.end(), words_.begin());
     brk_ = other.brk_;
     segments_ = other.segments_;
   }
@@ -111,8 +120,17 @@ class MemoryRegion {
   }
 
  private:
+  struct Free {
+    void operator()(fx::q15_t* p) const { std::free(p); }
+  };
+
   MemKind kind_;
-  std::vector<fx::q15_t> words_;
+  // Zero-filled by calloc, which maps a large region as fresh zero pages
+  // without writing them, so the host backs only the words a device
+  // touches: a dense deployment reserves 8 M FRAM words for a model that
+  // compiles into a small fraction of them.
+  std::unique_ptr<fx::q15_t[], Free> store_;
+  std::span<fx::q15_t> words_;  // views store_
   Addr brk_ = 0;
   std::vector<Segment> segments_;
 };

@@ -8,7 +8,6 @@
 
 #include "core/ace/compiled_model.h"
 #include "core/flex/runtime.h"
-#include "power/continuous.h"
 #include "util/check.h"
 #include "util/spec.h"
 
@@ -41,13 +40,13 @@ std::unique_ptr<flex::RuntimePolicy> make_tier_policy(const std::string& key) {
 CompletionModel CompletionModel::calibrate(const ace::CompiledModel& compressed,
                                            const ace::CompiledModel* dense,
                                            const dev::DeviceConfig& dcfg) {
-  // Scratch replica: same geometry and cost model, bench power, fresh
-  // FRAM. The compiled image is rebuilt from the variants' QuantModel
-  // copies, so the calibration runs are the executor's own exact modeled
-  // costs without touching the real device's trace, FRAM, or supply.
+  // Scratch replica: same geometry and cost model, fresh FRAM, and no
+  // supply — bench power, where nothing fails and every charge lands in
+  // the EnergyTrace that RunStats reads, with no settlement behind it.
+  // The compiled image is rebuilt from the variants' QuantModel copies,
+  // so the calibration runs are the executor's own exact modeled costs
+  // without touching the real device's trace, FRAM, or supply.
   dev::Device scratch(dcfg);
-  power::ContinuousPower bench;
-  scratch.attach_supply(&bench);
   const ace::CompiledModel cm_c = ace::compile(compressed.model, scratch);
   std::optional<ace::CompiledModel> cm_d;
   if (dense != nullptr) {

@@ -4,8 +4,9 @@
 // identical to the scalar per-word reference path — same memory contents,
 // same modeled cycle and energy totals per rail, and the same
 // word-granular FRAM commit behavior across a mid-block brown-out.
-// Plus the vec_mac 32-bit-accumulator edge cases at the exact Q31
-// boundaries, and FftPlan cache thread safety.
+// Plus the MAC against its fx::vec_mac reference, the vec_mac
+// 32-bit-accumulator edge cases at the exact Q31 boundaries, and FftPlan
+// cache thread safety.
 
 #include <gtest/gtest.h>
 
@@ -105,8 +106,7 @@ TEST(BulkAccess, BlockReadWriteGatherMacMatchScalar) {
 
   std::vector<q15_t> out_bulk, out_scalar;
   std::int64_t mac_bulk = 0, mac_scalar = 0;
-  bool ovf_bulk = false, ovf_scalar = false;
-  auto drive = [&](Device& d, std::vector<q15_t>& out, std::int64_t& mac, bool& ovf) {
+  auto drive = [&](Device& d, std::vector<q15_t>& out, std::int64_t& mac) {
     d.write_block(MemKind::kFram, 100, data);
     d.cpu_copy(MemKind::kFram, 100, MemKind::kSram, 0, 256);
     d.dma_copy(MemKind::kSram, 0, MemKind::kSram, 512, 256);
@@ -114,19 +114,75 @@ TEST(BulkAccess, BlockReadWriteGatherMacMatchScalar) {
     d.read_block(MemKind::kSram, 512, std::span<q15_t>(out.data(), 256));
     d.read_gather(MemKind::kSram, 0, offsets, 256,
                   std::span<q15_t>(out.data() + 256, offsets.size()));
-    mac = d.mac_block(0, 512, 256, &ovf);
+    mac = d.mac_block(0, 512, 256);
   };
   bulk.set_bulk_enabled(true);
   scalar.set_bulk_enabled(false);
-  drive(bulk, out_bulk, mac_bulk, ovf_bulk);
-  drive(scalar, out_scalar, mac_scalar, ovf_scalar);
+  drive(bulk, out_bulk, mac_bulk);
+  drive(scalar, out_scalar, mac_scalar);
 
   EXPECT_EQ(out_bulk, out_scalar);
   EXPECT_EQ(mac_bulk, mac_scalar);
-  EXPECT_EQ(ovf_bulk, ovf_scalar);
   expect_memory_match(bulk, scalar, MemKind::kFram, 100, 256);
   expect_memory_match(bulk, scalar, MemKind::kSram, 0, 768);
   expect_traces_match(bulk, scalar);
+}
+
+// The LEA MAC's bulk arm (a widening reduction the compiler vectorizes)
+// against its per-word peek arm and the fx::vec_mac reference, over
+// lengths around every vector width and at unaligned SRAM addresses.
+// The all -32768 operands drive the sum to n * 2^30 (2^42 at n = 4096)
+// and the -32768 x 32767 operands to its most negative value, so any
+// narrower-than-int64 partial sum in the vector code shows up here.
+TEST(BulkAccess, MacBlockMatchesScalarAndVecMac) {
+  constexpr std::size_t kMaxN = 4096;
+  constexpr Addr kA = 1;              // odd word address: unaligned
+  constexpr Addr kB = kA + kMaxN + 2;  // disjoint from a, also unaligned
+  DeviceConfig cfg;
+  cfg.sram_words = kB + kMaxN + 3;
+  enum class Fill { kRandom, kMaxPositive, kMaxNegative };
+  Rng rng(0x3ac);
+  for (const Fill fill : {Fill::kRandom, Fill::kMaxPositive, Fill::kMaxNegative}) {
+    for (const std::size_t n : {0u, 1u, 2u, 3u, 7u, 8u, 15u, 16u, 17u, 255u, 256u, 512u,
+                                4095u, 4096u}) {
+      std::vector<q15_t> a(n), b(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        switch (fill) {
+          case Fill::kRandom:
+            a[i] = static_cast<q15_t>(rng.next_u64());
+            b[i] = static_cast<q15_t>(rng.next_u64());
+            break;
+          case Fill::kMaxPositive:
+            a[i] = b[i] = -32768;
+            break;
+          case Fill::kMaxNegative:
+            a[i] = -32768;
+            b[i] = 32767;
+            break;
+        }
+      }
+      Device bulk(cfg), scalar(cfg);
+      std::int64_t acc_bulk = 0, acc_scalar = 0;
+      run_both(bulk, scalar, [&](Device& d) {
+        for (std::size_t i = 0; i < n; ++i) {
+          d.sram().poke(kA + i, a[i]);
+          d.sram().poke(kB + i, b[i]);
+        }
+        (d.bulk_enabled() ? acc_bulk : acc_scalar) = d.mac_block(kA, kB, n);
+      });
+      const std::int64_t want = fx::vec_mac(a, b).acc_q30;
+      EXPECT_EQ(acc_bulk, want) << "n=" << n << " fill=" << static_cast<int>(fill);
+      EXPECT_EQ(acc_scalar, want) << "n=" << n << " fill=" << static_cast<int>(fill);
+      expect_traces_match(bulk, scalar);
+    }
+  }
+  // The extremes reach the stated magnitudes (the int64 sum is exact).
+  Device d(cfg);
+  for (std::size_t i = 0; i < kMaxN; ++i) {
+    d.sram().poke(kA + i, -32768);
+    d.sram().poke(kB + i, -32768);
+  }
+  EXPECT_EQ(d.mac_block(kA, kB, kMaxN), std::int64_t{1} << 42);
 }
 
 // FRAM write accounting across a mid-block reboot: with a supply that can
@@ -276,16 +332,6 @@ TEST(VecMacOverflow, TransientOverflowStaysFlagged) {
   const MacResult r = vec_mac(a, b);
   EXPECT_EQ(r.acc_q30, 65536);  // back in range
   EXPECT_TRUE(r.overflowed_q31);
-  // Device mac_block reports the same decision.
-  dev::Device d;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    d.sram().poke(i, a[i]);
-    d.sram().poke(64 + i, b[i]);
-  }
-  bool ovf = false;
-  const std::int64_t acc = d.mac_block(0, 64, a.size(), &ovf);
-  EXPECT_EQ(acc, r.acc_q30);
-  EXPECT_TRUE(ovf);
 }
 
 }  // namespace

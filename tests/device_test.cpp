@@ -108,13 +108,13 @@ TEST(Device, LeaMacMatchesVecMac) {
     d.sram().poke(100 + i, b[i]);
   }
   const auto ref = fx::vec_mac(a, b);
-  EXPECT_EQ(d.lea_mac(0, 100, kN), ref.acc_q30);
+  EXPECT_EQ(d.mac_block(0, 100, kN), ref.acc_q30);
 }
 
 TEST(Device, LeaMacFasterThanCpuMacs) {
   Device lea_dev, cpu_dev;
   constexpr std::size_t kN = 64;
-  lea_dev.lea_mac(0, 100, kN);
+  lea_dev.mac_block(0, 100, kN);
   for (std::size_t i = 0; i < kN; ++i) {
     cpu_dev.read(MemKind::kSram, i);
     cpu_dev.read(MemKind::kSram, 100 + i);

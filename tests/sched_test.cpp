@@ -163,6 +163,40 @@ TEST(Forecast, AdaptiveSpecParsesSchedulingV2Keys) {
 
 // ------------------------------------------------------- adaptive policy
 
+// The completion model's tiers are exactly the tiers' own executor runs,
+// in ladder order on one fresh replica of the device, with no supply or
+// on bench power (ContinuousPower): the calibration runs supply-less, so
+// no settlement cost rides along, and dropping the supply moves no
+// modeled joule. (One replica, not one per tier: RunStats energies are
+// differences of the trace's running totals, so they carry its history.)
+TEST(Adaptive, CalibrationMatchesEachTiersOwnRun) {
+  Rng rng(45);
+  const auto qm_c = tiny_compressed(rng);
+  const auto qm_d = tiny_dense(rng);
+  dev::Device dev;
+  const auto cm_c = ace::compile(qm_c, dev);
+  const auto cm_d = ace::compile(qm_d, dev, /*co_resident=*/true);
+  const CompletionModel m = CompletionModel::calibrate(cm_c, &cm_d, dev.config());
+  ASSERT_EQ(m.tiers().size(), 5u);
+
+  const std::vector<q15_t> input(qm_c.layers.front().in_size(), 0);
+  for (const bool bench_supply : {false, true}) {
+    dev::Device replica(dev.config());
+    power::ContinuousPower bench;
+    if (bench_supply) replica.attach_supply(&bench);
+    const auto rc = ace::compile(qm_c, replica);
+    const auto rd = ace::compile(qm_d, replica, /*co_resident=*/true);
+    for (const auto& t : m.tiers()) {
+      const auto policy = sim::make_policy(t.key);
+      const flex::RunStats st =
+          flex::IntermittentExecutor(*policy).run(replica, t.dense ? rd : rc, input);
+      ASSERT_TRUE(st.completed()) << t.key;
+      EXPECT_EQ(st.energy_j, t.energy_j) << t.key << " bench_supply=" << bench_supply;
+      EXPECT_EQ(st.on_seconds, t.on_s) << t.key << " bench_supply=" << bench_supply;
+    }
+  }
+}
+
 TEST(Adaptive, LeanPriorPicksFlexUnderContinuousPower) {
   Rng rng(42);
   const auto qm = tiny_compressed(rng);
