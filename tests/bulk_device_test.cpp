@@ -176,13 +176,6 @@ TEST(BulkAccess, MacBlockMatchesScalarAndVecMac) {
       expect_traces_match(bulk, scalar);
     }
   }
-  // The extremes reach the stated magnitudes (the int64 sum is exact).
-  Device d(cfg);
-  for (std::size_t i = 0; i < kMaxN; ++i) {
-    d.sram().poke(kA + i, -32768);
-    d.sram().poke(kB + i, -32768);
-  }
-  EXPECT_EQ(d.mac_block(kA, kB, kMaxN), std::int64_t{1} << 42);
 }
 
 // FRAM write accounting across a mid-block reboot: with a supply that can
